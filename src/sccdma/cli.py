@@ -23,7 +23,6 @@ from .coupling import (
     to_base_matrix,
 )
 from .density_evolution import (
-    MmseTable,
     SystemScenario,
     run_de,
     sigma2_from_db,
@@ -71,10 +70,6 @@ def _write_text(path: str, text: str) -> None:
         stream.write(text)
 
 
-def _mmse_fn(args):
-    return MmseTable() if args.mmse_table else None
-
-
 def cmd_generate(args) -> int:
     if args.training_set is not None:
         tau = len(_parse_training_flag(args.training_set))
@@ -104,7 +99,6 @@ def cmd_de(args) -> int:
         scen,
         max_iter=args.max_iter,
         tol=args.tol,
-        mmse_fn=_mmse_fn(args),
     )
     with open(args.out_trajectory, "w", encoding="utf-8", newline="") as stream:
         write_trajectory_csv(traj, stream)
@@ -134,7 +128,6 @@ def cmd_threshold(args) -> int:
         success_ber=args.success_ber,
         max_iter=args.max_iter,
         sir_tol=args.tol,
-        mmse_fn=_mmse_fn(args),
     )
     result = bp_threshold(query)
     if args.out_report is None:
@@ -172,7 +165,6 @@ def cmd_search(args) -> int:
         with_thresholds=args.with_thresholds,
         workers=args.workers,
         sir_tol=args.tol,
-        mmse_fn=_mmse_fn(args),
         alpha_lo=args.alpha_lo,
         alpha_hi=args.alpha_hi,
         alpha_tol=args.alpha_tol,
@@ -192,14 +184,6 @@ def cmd_avgload(args) -> int:
     value = average_load(args.alpha_tr, args.alpha, args.tau, args.L)
     print(f"{value:.17g}")
     return 0
-
-
-def _add_mmse_table_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mmse-table",
-        action="store_true",
-        help="evaluate the MMSE through a precomputed monotone table",
-    )
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -247,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     de.add_argument("--tol", type=float, default=1e-8, help="sir convergence tolerance")
     de.add_argument("--out-trajectory", required=True, help="per-position CSV path")
     de.add_argument("--out-summary", required=True, help="per-iteration summary CSV path")
-    _add_mmse_table_flag(de)
     de.set_defaults(func=cmd_de)
 
     thr = sub.add_parser("threshold", help="estimate the BP threshold by bisection")
@@ -262,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--tol", type=float, default=1e-8, help="sir convergence tolerance")
     thr.add_argument("--out-report", help="report CSV path (default: standard output)")
     thr.add_argument("--out-log", help="evaluation-log CSV path")
-    _add_mmse_table_flag(thr)
     thr.set_defaults(func=cmd_threshold)
 
     sea = sub.add_parser("search", help="search a small-world ensemble for fast instances")
@@ -290,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--workers", type=int, default=1, help="parallel scoring processes")
     sea.add_argument("--out-report", required=True, help="ranked report CSV path")
     sea.add_argument("--out-best", help="graph file for the best instance")
-    _add_mmse_table_flag(sea)
     sea.set_defaults(func=cmd_search)
 
     avg = sub.add_parser("avgload", help="average load of a training/propagation split")

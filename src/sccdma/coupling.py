@@ -379,6 +379,13 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise GraphParseError("field 'edges' must be a list")
+    # Every variable node has degree 2W+1 >= 3, so it appears in at least one
+    # edge; checking that before the dense (L, L) table keeps a huge L from
+    # turning into a huge allocation.
+    if L > len(edges):
+        raise GraphParseError(
+            f"L={L} variable nodes need at least {L} edges, got {len(edges)}"
+        )
     mult = np.zeros((L, L), dtype=np.int64)
     for pos, edge in enumerate(edges):
         if (

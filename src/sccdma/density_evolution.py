@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
 from .coupling import BaseMatrix, TrainingAssignment
@@ -37,7 +36,6 @@ __all__ = [
     "qfunc",
     "ber_of",
     "mmse_bpsk",
-    "MmseTable",
     "initial_state",
     "de_step",
     "run_de",
@@ -100,16 +98,14 @@ def ber_of(sir):
     return qfunc(np.sqrt(arr)) if np.ndim(sir) else qfunc(math.sqrt(float(arr)))
 
 
-def mmse_bpsk(x, n_nodes: int = 60):
-    """MMSE of estimating a +-1 symbol over AWGN at signal-to-noise ratio x.
+def _mmse_quadrature(x, n_nodes: int = 60):
+    """Reference MMSE by quadrature; :func:`mmse_bpsk` interpolates it.
 
-    Defined as 1 - E[tanh(x + sqrt(x) Z)] with Z standard normal
-    (equivalently 1 - E[tanh^2] by channel symmetry).  Evaluated by
-    Gauss-Hermite quadrature with ``n_nodes`` nodes for x < 0.5 and by
-    an exact sech-kernel reformulation on a fixed trapezoidal grid
-    above (see module comments); absolute error is below 1e-10 on
-    [0, 50].  Returns exactly 1 at x = 0 and exactly 0 for x > 50,
-    where the true value is below 1e-10.  Accepts scalars or arrays.
+    Gauss-Hermite quadrature with ``n_nodes`` nodes for x < 0.5 and the
+    exact sech-kernel reformulation on a fixed trapezoidal grid above
+    (see module comments); absolute error is below 1e-10 on [0, 50].
+    Returns exactly 1 at x = 0 and exactly 0 for x > 50.  Costs an
+    (n x 381) kernel per call, so it only runs at import and in tests.
     """
     if n_nodes < 60:
         raise ValueError(f"need at least 60 quadrature nodes, got {n_nodes}")
@@ -135,34 +131,97 @@ def mmse_bpsk(x, n_nodes: int = 60):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-class MmseTable:
-    """Precomputed monotone interpolant of :func:`mmse_bpsk` for hot loops.
+# mmse_bpsk is a piecewise polynomial of degree _MMSE_DEGREE interpolating
+# the quadrature at Chebyshev points of each piece (Trefethen, Approximation
+# Theory and Approximation Practice, 2013).  The pieces grow geometrically:
+# [0, 1/128], then breaks at 0.5 * 2**(k/8) for k = -48..53, then up to 50.
+# The function is smooth but not analytic at x = 0, so uniform pieces would
+# need far more nodes near 0 than elsewhere; the break at 0.5 keeps each
+# piece on one side of the quadrature's regime switch.  Each piece is kept
+# as monomial coefficients in t = (x - lo) / (hi - lo), which decay like
+# Taylor coefficients, so Horner's rule is stable and the first piece can
+# hold mmse(0) = 1 exactly.  Against the quadrature the interpolant is
+# within 7e-15 on [0, 50], except 1.4e-14 on (0.45, 0.5), where it absorbs
+# the quadrature's step at 0.5 (see _mmse_pieces); the fit samples 927
+# quadrature nodes once, at import.
+_MMSE_DEGREE = 8
+_MMSE_UPPER = np.append(0.5 * 2.0 ** (np.arange(-48, 54) / 8.0), MMSE_CUTOFF)
+_MMSE_UPPER.setflags(write=False)
 
-    A PCHIP interpolant through ``size`` equispaced samples on
-    [0, x_max]: monotone like the exact function and matching direct
-    evaluation to better than 1e-7.  Beyond x_max the table returns 0,
-    mirroring the direct cutoff.
+
+def _mmse_pieces() -> NDArray[np.float64]:
+    """Coefficient table of :func:`mmse_bpsk`, one column per piece.
+
+    Rows are the piece's lower end lo, its inverse width, then the
+    monomial coefficients c0..cd in t = (x - lo) / width.  Piece i covers
+    (lo, _MMSE_UPPER[i]] (the first one includes 0) and one extra all-zero
+    column covers x > MMSE_CUTOFF, so ``_MMSE_UPPER.searchsorted(x)``
+    indexes the table directly.
     """
+    lo = np.append(0.0, _MMSE_UPPER[:-1])
+    width = _MMSE_UPPER - lo
+    nodes = np.polynomial.chebyshev.chebpts1(_MMSE_DEGREE + 1)
+    samples = _mmse_quadrature(lo[:, None] + width[:, None] * (0.5 * (nodes + 1.0)))
+    # Fit in the Chebyshev basis, where the fit is well conditioned, then
+    # convert: column j of to_monomial holds T_j(2t - 1)'s coefficients in t.
+    coefs = np.polynomial.chebyshev.chebfit(nodes, samples.T, _MMSE_DEGREE)
+    to_monomial = np.zeros((_MMSE_DEGREE + 1, _MMSE_DEGREE + 1))
+    for j in range(_MMSE_DEGREE + 1):
+        basis = np.polynomial.Chebyshev.basis(j, domain=[0.0, 1.0])
+        to_monomial[: j + 1, j] = basis.convert(kind=np.polynomial.Polynomial).coef
+    table = np.zeros((_MMSE_DEGREE + 3, lo.size + 1))
+    table[0, :-1] = lo
+    table[1, :-1] = 1.0 / width
+    table[2:, :-1] = to_monomial @ coefs
+    # The fit leaves c0 of the first piece within an ulp of mmse(0) = 1;
+    # pinning it keeps every value at or below 1.
+    table[2, 0] = 1.0
+    # Neighbouring pieces meet within about 1e-15 (6.6e-15 at 0.5, where
+    # the quadrature changes rules), sometimes with a step up.  Just above a
+    # break a piece returns at most its c0, so raising the piece below until
+    # it reaches that c0 at the break makes mmse_bpsk nonincreasing across
+    # every break.  The raise goes on the top coefficient, whose t**d leaves
+    # the lower end of the piece below, and so the break before it, untouched;
+    # twice the shortfall outweighs the rounding of the final Horner step.
+    for i in range(1, lo.size):
+        short = table[2, i] - _horner(table[:, i - 1], lo[i])
+        if short > 0.0:
+            table[-1, i - 1] += 2.0 * short
+    table.setflags(write=False)
+    return table
 
-    def __init__(self, x_max: float = MMSE_CUTOFF, size: int = 4096, n_nodes: int = 60):
-        if x_max <= 0.0:
-            raise ValueError(f"table range must be positive, got x_max={x_max}")
-        if size < 2:
-            raise ValueError(f"table needs at least 2 samples, got {size}")
-        grid = np.linspace(0.0, x_max, size)
-        self.x_max = x_max
-        self.size = size
-        self._interp = PchipInterpolator(grid, mmse_bpsk(grid, n_nodes=n_nodes))
 
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        if (arr < 0.0).any() or np.isnan(arr).any():
-            raise ValueError("snr must be nonnegative")
-        flat = np.atleast_1d(arr)
-        out = np.zeros(flat.shape, dtype=np.float64)
-        inside = flat <= self.x_max
-        out[inside] = self._interp(flat[inside])
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+def _horner(piece, x):
+    """Value at x of the piece(s) given by table column(s) ``piece``."""
+    t = (x - piece[0]) * piece[1]
+    y = piece[-1]
+    for coef in piece[-2:1:-1]:
+        y = y * t + coef
+    return y
+
+
+_MMSE_PIECES = _mmse_pieces()
+
+
+def mmse_bpsk(x):
+    """MMSE of estimating a +-1 symbol over AWGN at signal-to-noise ratio x.
+
+    Defined as 1 - E[tanh(x + sqrt(x) Z)] with Z standard normal
+    (equivalently 1 - E[tanh^2] by channel symmetry; Guo, Shamai & Verdu
+    2005).  Evaluated from a piecewise polynomial fitted at import to
+    :func:`_mmse_quadrature`, which it matches to within 2e-14 absolute on
+    [0, 50].  Returns exactly 1 at x = 0 and exactly 0 for x > 50, where
+    the true value is below 1e-10.  Accepts scalars or arrays; an array
+    element and the same value passed as a scalar give identical results.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    # min() propagates NaN, so one comparison rejects negative and NaN input.
+    if arr.size and not arr.min() >= 0.0:
+        raise ValueError("snr must be nonnegative")
+    piece = _MMSE_PIECES.take(_MMSE_UPPER.searchsorted(arr), axis=1)
+    # Clipping keeps t finite (0 on the zero column) for x = inf.
+    y = _horner(piece, np.minimum(arr, MMSE_CUTOFF))
+    return float(y) if arr.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -269,12 +328,7 @@ def initial_state(B: BaseMatrix, scen: SystemScenario) -> DeState:
     )
 
 
-def de_step(
-    state: DeState,
-    B: BaseMatrix,
-    scen: SystemScenario,
-    mmse_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None,
-) -> DeState:
+def de_step(state: DeState, B: BaseMatrix, scen: SystemScenario) -> DeState:
     """One parallel update of the coupled recursion.
 
     The new noise levels consume the input state's sir; the new sir
@@ -284,10 +338,8 @@ def de_step(
         raise ValueError(
             f"state has {state.sir.shape[0]} positions, matrix expects {B.L}"
         )
-    if mmse_fn is None:
-        mmse_fn = mmse_bpsk
     loads = scen.row_loads(B.L)
-    sigma2_rows = scen.sigma2 + loads * (B.bsq @ mmse_fn(state.sir))
+    sigma2_rows = scen.sigma2 + loads * (B.bsq @ mmse_bpsk(state.sir))
     sir = B.bsq.T @ (1.0 / sigma2_rows)
     return DeState(sir=sir, sigma2_rows=sigma2_rows, iteration=state.iteration + 1)
 
@@ -297,7 +349,6 @@ def run_de(
     scen: SystemScenario,
     max_iter: int = 1000,
     tol: float = 1e-8,
-    mmse_fn: Callable[[NDArray[np.float64]], NDArray[np.float64]] | None = None,
 ) -> DeTrajectory:
     """Iterate :func:`de_step` from the all-zero start and record every iteration.
 
@@ -312,7 +363,7 @@ def run_de(
     rows = [state.sir]
     converged = False
     for _ in range(max_iter):
-        new = de_step(state, B, scen, mmse_fn)
+        new = de_step(state, B, scen)
         rows.append(new.sir)
         if float(np.max(np.abs(new.sir - state.sir))) < tol:
             converged = True

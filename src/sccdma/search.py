@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
@@ -151,7 +151,6 @@ def score_instance(
     target_ber: float,
     max_iter: int = 1000,
     sir_tol: float = 1e-8,
-    mmse_fn: Callable | None = None,
     index: int | None = None,
 ) -> InstanceScore:
     """Run density evolution and record iterations to the average-BER target.
@@ -166,7 +165,6 @@ def score_instance(
         replace(scen, training_set=assignment),
         max_iter=max_iter,
         tol=sir_tol,
-        mmse_fn=mmse_fn,
     )
     reached = np.flatnonzero(traj.avg_ber <= target_ber)
     return InstanceScore(
@@ -187,11 +185,11 @@ def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
 
 
 def _score_index(args) -> tuple[int, InstanceScore | None, str | None]:
-    spec, scen, target_ber, max_iter, sir_tol, mmse_fn, index = args
+    spec, scen, target_ber, max_iter, sir_tol, index = args
     try:
         g, assignment = sample_instance(spec, index)
         score = score_instance(
-            g, assignment, scen, target_ber, max_iter, sir_tol, mmse_fn, index=index
+            g, assignment, scen, target_ber, max_iter, sir_tol, index=index
         )
         return index, score, None
     except Exception as exc:  # recorded per instance, search continues
@@ -206,7 +204,6 @@ def ensemble_search(
     with_thresholds: bool = False,
     workers: int = 1,
     sir_tol: float = 1e-8,
-    mmse_fn: Callable | None = None,
     alpha_lo: float = 1.0,
     alpha_hi: float = 2.5,
     alpha_tol: float = 1e-4,
@@ -225,7 +222,7 @@ def ensemble_search(
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     jobs = [
-        (spec, scen, target_ber, max_iter, sir_tol, mmse_fn, index)
+        (spec, scen, target_ber, max_iter, sir_tol, index)
         for index in range(spec.n_samples)
     ]
     if workers == 1:
@@ -256,7 +253,6 @@ def ensemble_search(
                 success_ber=success_ber,
                 max_iter=threshold_max_iter,
                 sir_tol=sir_tol,
-                mmse_fn=mmse_fn,
             )
             try:
                 finalists.append(replace(score, threshold=bp_threshold(query)))

@@ -13,8 +13,8 @@ structure can also be enumerated directly as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import IO, Callable
+from dataclasses import dataclass
+from typing import IO
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class ThresholdQuery:
     success_ber: float = DEFAULT_SUCCESS_BER
     max_iter: int = 10000
     sir_tol: float = 1e-8
-    mmse_fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0:
@@ -145,7 +144,6 @@ def _evaluate(query: ThresholdQuery, alpha: float) -> DeEvaluation:
         query.scenario(alpha),
         max_iter=query.max_iter,
         tol=query.sir_tol,
-        mmse_fn=query.mmse_fn,
     )
     max_ber = float(traj.ber[-1].max())
     return DeEvaluation(

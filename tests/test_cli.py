@@ -188,6 +188,31 @@ def test_threshold_inverted_bracket_exits_2():
     assert proc.stderr.startswith("error:")
 
 
+def test_de_rejects_huge_graph_with_exit_2(tmp_path):
+    graph = tmp_path / "huge.json"
+    graph.write_text(
+        '{"version": 1, "L": 1000000000000, "W": 1, "provenance": null, '
+        '"edges": [], "training": []}'
+    )
+    proc = run_cli(
+        "de", "--graph", graph, "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9,
+        "--out-trajectory", tmp_path / "t.csv", "--out-summary", tmp_path / "s.csv",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "at least" in proc.stderr
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate costs about 0.25 s and 26 MiB on every CLI call.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sccdma; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_threshold_requires_graph_or_uncoupled():
     proc = run_cli("threshold", "--snr-db", 10)
     assert proc.returncode == 2

@@ -254,3 +254,15 @@ def test_parse_rejects_bad_version_and_training():
     doc["training"] = [8]
     with pytest.raises(GraphParseError):
         parse_graph(json.dumps(doc))
+
+
+def test_parse_rejects_huge_L_before_allocating():
+    # A (10**12, 10**12) table cannot be allocated; the edge-count check
+    # must reject the document before parse_graph tries.
+    import json
+
+    doc = json.loads(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
+    doc["L"] = 10**12
+    doc["edges"] = []
+    with pytest.raises(GraphParseError, match="at least"):
+        parse_graph(json.dumps(doc))

@@ -4,10 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sccdma import (
+    MMSE_CUTOFF,
     BaseMatrix,
-    MmseTable,
     SystemScenario,
     TrainingAssignment,
     ber_of,
@@ -23,6 +25,7 @@ from sccdma import (
     write_summary_csv,
     write_trajectory_csv,
 )
+from sccdma.density_evolution import _MMSE_UPPER, _mmse_quadrature
 
 # Gaussian upper-tail values from a 40-digit numerical integration of the
 # standard normal density (mpmath.quad over [x, inf)), frozen.
@@ -91,8 +94,9 @@ def test_ber_of_examples():
 
 def test_mmse_bpsk_endpoints():
     assert mmse_bpsk(0.0) == 1.0
-    assert mmse_bpsk(100.0) < 1e-8
-    assert mmse_bpsk(100.0) >= 0.0
+    assert 0.0 < mmse_bpsk(MMSE_CUTOFF) < 1e-10
+    for x in (np.nextafter(MMSE_CUTOFF, np.inf), 100.0, 1e300, np.inf):
+        assert mmse_bpsk(x) == 0.0
 
 
 def test_mmse_bpsk_against_monte_carlo():
@@ -107,30 +111,69 @@ def test_mmse_bpsk_monotone_in_unit_interval():
     assert np.all(np.diff(vals) < 0.0)
 
 
-def test_mmse_bpsk_node_count_stability():
+def test_mmse_quadrature_node_count_stability():
     grid = np.arange(0.0, 20.0 + 1e-9, 0.1)
-    assert np.max(np.abs(mmse_bpsk(grid, n_nodes=60) - mmse_bpsk(grid, n_nodes=120))) <= 1e-9
+    assert np.max(np.abs(_mmse_quadrature(grid, n_nodes=60) - _mmse_quadrature(grid, n_nodes=120))) <= 1e-9
+
+
+def test_mmse_quadrature_domain_errors():
+    with pytest.raises(ValueError):
+        _mmse_quadrature(-1e-9)
+    with pytest.raises(ValueError):
+        _mmse_quadrature(1.0, n_nodes=40)
 
 
 def test_mmse_bpsk_domain_errors():
-    with pytest.raises(ValueError):
-        mmse_bpsk(-1e-9)
-    with pytest.raises(ValueError):
-        mmse_bpsk(1.0, n_nodes=40)
+    for bad in (-1e-9, np.nan, np.array([1.0, np.nan]), np.array([2.0, -np.inf])):
+        with pytest.raises(ValueError):
+            mmse_bpsk(bad)
 
 
 def test_mmse_bpsk_vectorized_matches_scalar():
-    # batched and single-point reductions may round differently by 1 ulp
-    xs = np.array([0.0, 0.05, 0.49, 0.5, 1.0, 9.4, 49.9, 50.0, 51.0, 200.0])
+    # Horner's rule runs elementwise, so batching cannot change the rounding.
+    xs = np.array([0.0, 1e-12, 0.05, 0.49, 0.5, 1.0, 9.4, 49.9, 50.0, 51.0, 200.0])
     vec = mmse_bpsk(xs)
     sca = np.array([mmse_bpsk(float(x)) for x in xs])
-    np.testing.assert_array_max_ulp(vec, sca, maxulp=1)
+    np.testing.assert_array_equal(vec, sca)
+    np.testing.assert_array_equal(mmse_bpsk(xs.reshape(1, -1, 1)).ravel(), vec)
 
 
-def test_mmse_table_matches_direct():
-    table = MmseTable()
-    grid = np.linspace(0.0, 50.0, 2001)
-    assert np.max(np.abs(table(grid) - mmse_bpsk(grid))) <= 1e-7
+def _quadrature_chunked(x):
+    out = np.empty_like(x)
+    for i in range(0, x.size, 16384):
+        out[i : i + 16384] = _mmse_quadrature(x[i : i + 16384])
+    return out
+
+
+def test_mmse_bpsk_matches_quadrature_on_dense_grids():
+    dense = np.linspace(0.0, MMSE_CUTOFF, 1_000_001)
+    fast = mmse_bpsk(dense)
+    assert np.max(np.abs(fast - _quadrature_chunked(dense))) <= 1e-12
+    assert np.all(np.diff(fast) <= 0.0)
+    small = np.logspace(-12.0, 0.0, 20_001)
+    assert np.max(np.abs(mmse_bpsk(small) - _mmse_quadrature(small))) <= 1e-12
+
+
+def test_mmse_bpsk_never_steps_up_at_piece_breaks():
+    # Neighbouring pieces are fitted separately, and the quadrature changes
+    # rules at 0.5 with a 6.6e-15 step up; the floats around every break
+    # must still give nonincreasing values.
+    for b in _MMSE_UPPER:
+        xs = b + np.arange(-64, 65) * np.spacing(b)
+        assert np.all(np.diff(mmse_bpsk(xs)) <= 0.0), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=60.0),
+    st.floats(min_value=0.0, max_value=60.0),
+)
+def test_mmse_bpsk_monotone_bounded_and_exact_property(u, v):
+    a, b = min(u, v), max(u, v)
+    fa, fb = mmse_bpsk(a), mmse_bpsk(b)
+    assert 0.0 <= fb <= fa <= 1.0
+    assert abs(fa - _mmse_quadrature(a)) <= 1e-12
+    assert abs(fb - _mmse_quadrature(b)) <= 1e-12
 
 
 def test_de_step_hand_case():
