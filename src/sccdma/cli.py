@@ -24,6 +24,7 @@ from .coupling import (
 )
 from .density_evolution import (
     SystemScenario,
+    format_float,
     run_de,
     sigma2_from_db,
     write_summary_csv,
@@ -182,7 +183,7 @@ def cmd_search(args) -> int:
 
 def cmd_avgload(args) -> int:
     value = average_load(args.alpha_tr, args.alpha, args.tau, args.L)
-    print(f"{value:.17g}")
+    print(format_float(value))
     return 0
 
 

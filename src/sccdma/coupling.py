@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 __all__ = [
     "GraphError",
     "GraphParseError",
+    "MAX_CHAIN_LENGTH",
     "Provenance",
     "CouplingGraph",
     "TrainingAssignment",
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 1 << 64
+
+# Graphs and base matrices are dense L x L tables, and one DE iteration
+# costs two L x L matvecs.  At this cap each table takes 32 MiB.
+MAX_CHAIN_LENGTH = 2048
 
 
 class GraphError(ValueError):
@@ -167,6 +172,12 @@ class BaseMatrix:
     __hash__ = None  # type: ignore[assignment]
 
 
+def check_chain_length(L: int) -> None:
+    """Reject a chain length above MAX_CHAIN_LENGTH before any L x L allocation."""
+    if L > MAX_CHAIN_LENGTH:
+        raise GraphError(f"chain length L={L} exceeds the maximum {MAX_CHAIN_LENGTH}")
+
+
 def _regular_mult(L: int, W: int) -> NDArray[np.int64]:
     dist = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
     return ((dist <= W) | (dist >= L - W)).astype(np.int64)
@@ -181,6 +192,7 @@ def make_regular(L: int, W: int) -> CouplingGraph:
         raise GraphError(f"coupling width must be positive, got W={W}")
     if L < 2 * W + 2:
         raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
+    check_chain_length(L)
     return CouplingGraph(L=L, W=W, mult=_regular_mult(L, W))
 
 
@@ -386,6 +398,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         raise GraphParseError(
             f"L={L} variable nodes need at least {L} edges, got {len(edges)}"
         )
+    check_chain_length(L)
     mult = np.zeros((L, L), dtype=np.int64)
     for pos, edge in enumerate(edges):
         if (

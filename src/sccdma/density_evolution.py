@@ -30,13 +30,11 @@ from .coupling import BaseMatrix, TrainingAssignment
 __all__ = [
     "MMSE_CUTOFF",
     "SystemScenario",
-    "DeState",
     "DeTrajectory",
     "sigma2_from_db",
     "qfunc",
     "ber_of",
     "mmse_bpsk",
-    "initial_state",
     "de_step",
     "run_de",
     "write_trajectory_csv",
@@ -260,33 +258,6 @@ class SystemScenario:
 
 
 @dataclass(frozen=True, eq=False)
-class DeState:
-    """One density-evolution iterate: sir per position, noise level per period."""
-
-    sir: NDArray[np.float64]
-    sigma2_rows: NDArray[np.float64]
-    iteration: int
-
-    def __post_init__(self) -> None:
-        sir = np.ascontiguousarray(np.asarray(self.sir, dtype=np.float64))
-        rows = np.ascontiguousarray(np.asarray(self.sigma2_rows, dtype=np.float64))
-        if sir.ndim != 1 or sir.shape != rows.shape:
-            raise ValueError(
-                f"state arrays must be equal-length vectors, got {sir.shape} and {rows.shape}"
-            )
-        if (sir < 0.0).any():
-            raise ValueError("sir values must be nonnegative")
-        if (rows <= 0.0).any():
-            raise ValueError("noise levels must be positive")
-        if self.iteration < 0:
-            raise ValueError(f"iteration must be nonnegative, got {self.iteration}")
-        sir.setflags(write=False)
-        rows.setflags(write=False)
-        object.__setattr__(self, "sir", sir)
-        object.__setattr__(self, "sigma2_rows", rows)
-
-
-@dataclass(frozen=True, eq=False)
 class DeTrajectory:
     """Per-iteration record of a density-evolution run.
 
@@ -318,30 +289,20 @@ class DeTrajectory:
             arr.setflags(write=False)
 
 
-def initial_state(B: BaseMatrix, scen: SystemScenario) -> DeState:
-    """All-zero sir start; noise levels carry the full interference mmse(0) = 1."""
-    loads = scen.row_loads(B.L)
-    return DeState(
-        sir=np.zeros(B.L),
-        sigma2_rows=scen.sigma2 + loads * B.bsq.sum(axis=1),
-        iteration=0,
-    )
+def de_step(
+    sir: NDArray[np.float64],
+    bsq: NDArray[np.float64],
+    sigma2: float,
+    loads: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """One parallel update of the coupled recursion; returns (sir, sigma2_rows).
 
-
-def de_step(state: DeState, B: BaseMatrix, scen: SystemScenario) -> DeState:
-    """One parallel update of the coupled recursion.
-
-    The new noise levels consume the input state's sir; the new sir
-    consumes the new noise levels.
+    The new noise levels ``sigma2_rows`` consume the input ``sir``; the
+    new sir consumes the new noise levels.  ``loads`` holds the per-row
+    loads of :meth:`SystemScenario.row_loads`.
     """
-    if state.sir.shape[0] != B.L:
-        raise ValueError(
-            f"state has {state.sir.shape[0]} positions, matrix expects {B.L}"
-        )
-    loads = scen.row_loads(B.L)
-    sigma2_rows = scen.sigma2 + loads * (B.bsq @ mmse_bpsk(state.sir))
-    sir = B.bsq.T @ (1.0 / sigma2_rows)
-    return DeState(sir=sir, sigma2_rows=sigma2_rows, iteration=state.iteration + 1)
+    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir))
+    return bsq.T @ (1.0 / sigma2_rows), sigma2_rows
 
 
 def run_de(
@@ -359,31 +320,32 @@ def run_de(
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    state = initial_state(B, scen)
-    rows = [state.sir]
+    loads = scen.row_loads(B.L)
+    sir = np.zeros(B.L)
+    rows = [sir]
     converged = False
     for _ in range(max_iter):
-        new = de_step(state, B, scen)
-        rows.append(new.sir)
-        if float(np.max(np.abs(new.sir - state.sir))) < tol:
+        new, _ = de_step(sir, B.bsq, scen.sigma2, loads)
+        rows.append(new)
+        if float(np.max(np.abs(new - sir))) < tol:
             converged = True
-            state = new
             break
-        state = new
-    sir = np.vstack(rows)
-    ber = qfunc(np.sqrt(sir))
+        sir = new
+    table = np.vstack(rows)
+    ber = qfunc(np.sqrt(table))
     return DeTrajectory(
-        sir=sir,
+        sir=table,
         ber=ber,
         avg_ber=ber.mean(axis=1),
         min_ber=ber.min(axis=1),
         argmin_position=ber.argmin(axis=1).astype(np.int64),
         converged=converged,
-        iterations_run=sir.shape[0] - 1,
+        iterations_run=table.shape[0] - 1,
     )
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """A float as CSV text: 17 significant digits, enough to round-trip."""
     return f"{value:.17g}"
 
 
@@ -392,7 +354,7 @@ def write_trajectory_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     stream.write("iteration,position,sir,ber\n")
     for i in range(traj.sir.shape[0]):
         for m in range(traj.sir.shape[1]):
-            stream.write(f"{i},{m},{_fmt(traj.sir[i, m])},{_fmt(traj.ber[i, m])}\n")
+            stream.write(f"{i},{m},{format_float(traj.sir[i, m])},{format_float(traj.ber[i, m])}\n")
 
 
 def write_summary_csv(traj: DeTrajectory, stream: IO[str]) -> None:
@@ -400,5 +362,6 @@ def write_summary_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     stream.write("iteration,avg_ber,min_ber,argmin_position\n")
     for i in range(traj.avg_ber.shape[0]):
         stream.write(
-            f"{i},{_fmt(traj.avg_ber[i])},{_fmt(traj.min_ber[i])},{int(traj.argmin_position[i])}\n"
+            f"{i},{format_float(traj.avg_ber[i])},{format_float(traj.min_ber[i])},"
+            f"{int(traj.argmin_position[i])}\n"
         )

@@ -20,11 +20,12 @@ import numpy as np
 from .coupling import (
     CouplingGraph,
     TrainingAssignment,
+    check_chain_length,
     make_regular,
     sw_rewire,
     to_base_matrix,
 )
-from .density_evolution import SystemScenario, run_de
+from .density_evolution import SystemScenario, format_float, run_de
 from .threshold import (
     DEFAULT_SUCCESS_BER,
     BracketError,
@@ -83,6 +84,7 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         # Same requirements as sw_rewire, checked up front so a bad spec
         # fails before any sampling starts.
+        check_chain_length(self.L)
         if self.L < 2 * self.W + 2:
             raise ValueError(f"need L >= 2W+2, got L={self.L}, W={self.W}")
         if not 0.0 <= self.p <= 1.0:
@@ -285,7 +287,8 @@ def write_search_csv(report: SearchReport, stream: IO[str]) -> None:
     stream.write(header + "\n")
     for score in report.scores:
         iters = "" if score.iterations_to_target is None else str(score.iterations_to_target)
-        row = f"{score.index},{score.instance_seed},{iters},{score.final_max_ber:.17g}"
+        row = f"{score.index},{score.instance_seed},{iters},{format_float(score.final_max_ber)}"
         if with_thresholds:
-            row += "," if score.threshold is None else f",{score.threshold.alpha_bp:.17g}"
+            threshold = score.threshold
+            row += "," if threshold is None else f",{format_float(threshold.alpha_bp)}"
         stream.write(row + "\n")

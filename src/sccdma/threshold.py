@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from .coupling import BaseMatrix, TrainingAssignment, average_load
-from .density_evolution import SystemScenario, mmse_bpsk, qfunc, run_de
+from .density_evolution import SystemScenario, format_float, mmse_bpsk, qfunc, run_de
 
 __all__ = [
     "ALPHA_MAP_10DB",
@@ -80,14 +80,9 @@ class ThresholdQuery:
     sir_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"noise variance must be positive, got {self.sigma2}")
-        if self.alpha_tr <= 0.0:
-            raise ValueError(f"training load must be positive, got {self.alpha_tr}")
-        if self.alpha_lo <= 0.0 or self.alpha_hi <= 0.0:
-            raise ValueError(
-                f"bracket loads must be positive, got ({self.alpha_lo}, {self.alpha_hi})"
-            )
+        # The scenario checks sigma2, alpha_tr and alpha_lo; the bracket
+        # order below then makes alpha_hi positive too.
+        self.scenario(self.alpha_lo)
         if self.alpha_lo >= self.alpha_hi:
             raise BracketError(
                 f"inverted bracket: alpha_lo={self.alpha_lo} must be below alpha_hi={self.alpha_hi}"
@@ -263,17 +258,14 @@ def scalar_fixed_points(alpha: float, sigma2: float, grid_size: int = 4096) -> l
     return roots
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_threshold_csv(result: ThresholdResult, stream: IO[str]) -> None:
     """Single-row report: alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol."""
     stream.write("alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol\n")
     stream.write(
-        f"{_fmt(result.alpha_bp)},{_fmt(result.bracket[0])},{_fmt(result.bracket[1])},"
-        f"{_fmt(result.avg_load_at_threshold)},{result.de_evaluations},"
-        f"{_fmt(result.success_ber)},{_fmt(result.alpha_tol)}\n"
+        f"{format_float(result.alpha_bp)},{format_float(result.bracket[0])},"
+        f"{format_float(result.bracket[1])},{format_float(result.avg_load_at_threshold)},"
+        f"{result.de_evaluations},{format_float(result.success_ber)},"
+        f"{format_float(result.alpha_tol)}\n"
     )
 
 
@@ -282,4 +274,4 @@ def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
     stream.write("alpha,converged,max_ber,iterations\n")
     for ev in result.log:
         flag = "true" if ev.converged else "false"
-        stream.write(f"{_fmt(ev.alpha)},{flag},{_fmt(ev.max_ber)},{ev.iterations}\n")
+        stream.write(f"{format_float(ev.alpha)},{flag},{format_float(ev.max_ber)},{ev.iterations}\n")

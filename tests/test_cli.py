@@ -202,6 +202,18 @@ def test_de_rejects_huge_graph_with_exit_2(tmp_path):
     assert proc.stderr.startswith("error:") and "at least" in proc.stderr
 
 
+def test_generate_rejects_huge_L_with_exit_2(tmp_path):
+    # L = 10**12 would need an 8 TB table; the cap stops it with a message.
+    out = tmp_path / "g.json"
+    proc = run_cli(
+        "generate", "--L", 10**12, "--W", 1, "--tau", 1, "--seed", 0, "--out", out,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "exceeds the maximum" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate costs about 0.25 s and 26 MiB on every CLI call.
     proc = subprocess.run(

@@ -7,6 +7,7 @@ from sccdma import (
     CouplingGraph,
     GraphError,
     GraphParseError,
+    MAX_CHAIN_LENGTH,
     Provenance,
     TrainingAssignment,
     assign_training,
@@ -266,3 +267,28 @@ def test_parse_rejects_huge_L_before_allocating():
     doc["edges"] = []
     with pytest.raises(GraphParseError, match="at least"):
         parse_graph(json.dumps(doc))
+
+
+
+def test_chain_length_cap_rejects_before_allocating():
+    # Just above the cap a dense table still fits in memory (33 MiB), so an
+    # allocation before the check would show in the traced peak.
+    import json
+    import tracemalloc
+
+    too_long = MAX_CHAIN_LENGTH + 2
+    doc = json.loads(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
+    doc["L"] = too_long
+    doc["edges"] = [[m, m, 3] for m in range(too_long)]
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        for L in (too_long, 10**12):
+            with pytest.raises(GraphError, match="exceeds the maximum"):
+                make_regular(L, 1)
+        with pytest.raises(GraphError, match="exceeds the maximum"):
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

@@ -14,7 +14,6 @@ from sccdma import (
     TrainingAssignment,
     ber_of,
     de_step,
-    initial_state,
     make_regular,
     mmse_bpsk,
     qfunc,
@@ -176,23 +175,27 @@ def test_mmse_bpsk_monotone_bounded_and_exact_property(u, v):
     assert abs(fb - _mmse_quadrature(b)) <= 1e-12
 
 
+def _step(sir, B, scen):
+    return de_step(sir, B.bsq, scen.sigma2, scen.row_loads(B.L))
+
+
 def test_de_step_hand_case():
     scen = _scenario(1.73, training=NO_TRAINING)
-    state = initial_state(UNCOUPLED, scen)
-    assert state.sir[0] == 0.0
-    state = de_step(state, UNCOUPLED, scen)
-    assert state.sigma2_rows[0] == pytest.approx(0.1 + 1.73 * 1.0, abs=1e-12)
-    assert state.sir[0] == pytest.approx(1.0 / 1.83, abs=1e-12)
-    assert state.sir[0] == pytest.approx(0.546448, abs=1e-6)
+    sir = run_de(UNCOUPLED, scen, max_iter=1).sir[0]
+    assert sir[0] == 0.0
+    sir, sigma2_rows = _step(sir, UNCOUPLED, scen)
+    assert sigma2_rows[0] == pytest.approx(0.1 + 1.73 * 1.0, abs=1e-12)
+    assert sir[0] == pytest.approx(1.0 / 1.83, abs=1e-12)
+    assert sir[0] == pytest.approx(0.546448, abs=1e-6)
 
 
 def test_de_step_sir_upper_bound():
     B = to_base_matrix(make_regular(64, 2))
     scen = _scenario(1.9)
-    state = initial_state(B, scen)
+    sir = np.zeros(B.L)
     for _ in range(30):
-        state = de_step(state, B, scen)
-        assert np.all(state.sir <= 1.0 / scen.sigma2 + 1e-12)
+        sir, _ = _step(sir, B, scen)
+        assert np.all(sir <= 1.0 / scen.sigma2 + 1e-12)
 
 
 def test_de_step_two_steps_monotone_against_reevaluation():
@@ -209,21 +212,27 @@ def test_de_step_two_steps_monotone_against_reevaluation():
         sir = (B.bsq / s2[:, None]).sum(axis=0)
         snapshots.append(sir)
 
-    state = initial_state(B, scen)
-    state = de_step(state, B, scen)
-    assert np.allclose(state.sir, snapshots[1], rtol=1e-13, atol=1e-15)
-    state = de_step(state, B, scen)
-    assert np.allclose(state.sir, snapshots[2], rtol=1e-13, atol=1e-15)
+    sir, _ = _step(np.zeros(32), B, scen)
+    assert np.allclose(sir, snapshots[1], rtol=1e-13, atol=1e-15)
+    sir, _ = _step(sir, B, scen)
+    assert np.allclose(sir, snapshots[2], rtol=1e-13, atol=1e-15)
     assert np.all(snapshots[2] >= snapshots[1])
 
 
 def test_de_step_dimension_mismatch():
     B = to_base_matrix(make_regular(32, 2))
     scen = _scenario(1.9, training=NO_TRAINING)
-    state = initial_state(B, scen)
+    sir = run_de(B, scen, max_iter=1).sir[-1]
     B8 = to_base_matrix(make_regular(8, 1))
     with pytest.raises(ValueError):
-        de_step(state, B8, scen)
+        _step(sir, B8, scen)
+
+
+def test_run_de_rejects_training_index_beyond_chain():
+    B8 = to_base_matrix(make_regular(8, 1))
+    scen = _scenario(1.9, training=TrainingAssignment((8,), 1))
+    with pytest.raises(ValueError, match="out of range for chain length 8"):
+        run_de(B8, scen)
 
 
 def test_run_de_uncoupled_below_threshold_matches_scalar_root():
@@ -290,24 +299,24 @@ def test_state_bounds_regular_and_rewired():
     scen = _scenario(1.9)
     B = to_base_matrix(make_regular(64, 2))
     loads = scen.row_loads(64)
-    state = initial_state(B, scen)
+    sir = np.zeros(64)
     for _ in range(20):
-        state = de_step(state, B, scen)
-        assert np.all(state.sigma2_rows >= scen.sigma2)
-        assert np.all(state.sigma2_rows <= scen.sigma2 + loads + 1e-12)
-        assert np.all(state.sir <= 1.0 / scen.sigma2 + 1e-12)
-        assert np.all(state.sir >= 1.0 / (scen.sigma2 + loads.max()) - 1e-12)
+        sir, sigma2_rows = de_step(sir, B.bsq, scen.sigma2, loads)
+        assert np.all(sigma2_rows >= scen.sigma2)
+        assert np.all(sigma2_rows <= scen.sigma2 + loads + 1e-12)
+        assert np.all(sir <= 1.0 / scen.sigma2 + 1e-12)
+        assert np.all(sir >= 1.0 / (scen.sigma2 + loads.max()) - 1e-12)
 
     g, ta = sw_rewire(make_regular(64, 2), 0.2, 2, 14, 17)
     B2 = to_base_matrix(g)
     scen2 = _scenario(1.9, training=ta)
     loads2 = scen2.row_loads(64)
     rowsum = B2.bsq.sum(axis=1)
-    state = initial_state(B2, scen2)
+    sir = np.zeros(64)
     for _ in range(20):
-        state = de_step(state, B2, scen2)
-        assert np.all(state.sigma2_rows <= scen2.sigma2 + loads2 * rowsum + 1e-12)
-        assert np.all(state.sir >= 1.0 / (scen2.sigma2 + (loads2 * rowsum).max()) - 1e-12)
+        sir, sigma2_rows = de_step(sir, B2.bsq, scen2.sigma2, loads2)
+        assert np.all(sigma2_rows <= scen2.sigma2 + loads2 * rowsum + 1e-12)
+        assert np.all(sir >= 1.0 / (scen2.sigma2 + (loads2 * rowsum).max()) - 1e-12)
 
 
 def test_trajectory_ber_consistency():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sccdma import (
+    MAX_CHAIN_LENGTH,
     EnsembleSpec,
+    GraphError,
     SystemScenario,
     ThresholdQuery,
     TrainingAssignment,
@@ -98,6 +100,10 @@ def test_ensemble_spec_validation():
         EnsembleSpec(L=64, W=2, p=0.1, c=3, tau=14, master_seed=1, n_samples=5)
     with pytest.raises(ValueError):
         EnsembleSpec(L=16, W=2, p=0.1, c=2, tau=4, master_seed=1, n_samples=5)
+    # Rejected at construction, before sample_instance builds an L x L table.
+    EnsembleSpec(L=MAX_CHAIN_LENGTH, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
+    with pytest.raises(GraphError, match="exceeds the maximum"):
+        EnsembleSpec(L=10**12, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
 
 
 def test_score_instance_regular_baseline():

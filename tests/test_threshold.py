@@ -61,8 +61,16 @@ def test_query_rejects_success_ber_below_single_user_bound():
 
 
 def test_query_rejects_nonpositive_parameters():
-    with pytest.raises(ValueError):
-        _uncoupled_query(sigma2=0.0)
+    for bad in (
+        dict(sigma2=0.0),
+        dict(sigma2=-0.1),
+        dict(alpha_tr=0.0),
+        dict(alpha_lo=0.0),
+        dict(alpha_lo=-1.0, alpha_hi=-0.5),
+        dict(alpha_hi=0.0),
+    ):
+        with pytest.raises(ValueError):
+            _uncoupled_query(**bad)
     with pytest.raises(ValueError):
         _uncoupled_query(alpha_tol=0.0)
     with pytest.raises(ValueError):
