@@ -358,7 +358,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     """Inverse of :func:`serialize_graph`; rejects malformed documents outright."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise GraphParseError(f"invalid graph file: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphParseError("graph document must be a JSON object")
@@ -372,6 +372,10 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     W = _require_int(doc, "W")
     if L < 1 or W < 1:
         raise GraphParseError(f"invalid dimensions L={L}, W={W}")
+    # As in make_regular.  With L capped below, this bounds 2W+1, and so
+    # every multiplicity and column sum, far inside int64.
+    if L < 2 * W + 2:
+        raise GraphParseError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
 
     prov_doc = doc["provenance"]
     provenance = None
@@ -382,11 +386,12 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
             )
         if not isinstance(prov_doc["p"], (int, float)) or isinstance(prov_doc["p"], bool):
             raise GraphParseError(f"provenance field 'p' must be a number, got {prov_doc['p']!r}")
-        provenance = Provenance(
-            p=float(prov_doc["p"]),
-            c=_require_int(prov_doc, "c"),
-            seed=_require_int(prov_doc, "seed"),
-        )
+        c = _require_int(prov_doc, "c")
+        seed = _require_int(prov_doc, "seed")
+        try:
+            provenance = Provenance(p=float(prov_doc["p"]), c=c, seed=seed)
+        except (OverflowError, ValueError) as exc:  # float() of a huge int overflows
+            raise GraphParseError(f"invalid provenance: {exc}") from exc
 
     edges = doc["edges"]
     if not isinstance(edges, list):
@@ -398,7 +403,11 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         raise GraphParseError(
             f"L={L} variable nodes need at least {L} edges, got {len(edges)}"
         )
-    check_chain_length(L)
+    try:
+        check_chain_length(L)
+    except GraphError as exc:
+        raise GraphParseError(str(exc)) from exc
+    degree = 2 * W + 1
     mult = np.zeros((L, L), dtype=np.int64)
     for pos, edge in enumerate(edges):
         if (
@@ -410,8 +419,10 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         l, m, k = edge
         if not (0 <= l < L and 0 <= m < L):
             raise GraphParseError(f"edge {pos} endpoints ({l}, {m}) out of range [0, {L})")
-        if k < 1:
-            raise GraphParseError(f"edge {pos} multiplicity must be >= 1, got {k}")
+        if not 1 <= k <= degree:
+            raise GraphParseError(
+                f"edge {pos} multiplicity must lie in [1, 2W+1 = {degree}], got {k}"
+            )
         if mult[l, m]:
             raise GraphParseError(f"edge {pos} repeats endpoints ({l}, {m})")
         mult[l, m] = k

@@ -11,7 +11,6 @@ count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -230,6 +229,9 @@ def ensemble_search(
     if workers == 1:
         outcomes = [_score_index(job) for job in jobs]
     else:
+        # Imported here: it loads multiprocessing, which every CLI call would pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_score_index, jobs, chunksize=8))
 

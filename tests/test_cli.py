@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sccdma import (
+    TrainingAssignment,
     average_load,
     make_regular,
     parse_graph,
@@ -202,6 +204,21 @@ def test_de_rejects_huge_graph_with_exit_2(tmp_path):
     assert proc.stderr.startswith("error:") and "at least" in proc.stderr
 
 
+def test_de_rejects_huge_multiplicity_with_exit_2(tmp_path):
+    # 10**30 does not fit the int64 multiplicity table.
+    doc = json.loads(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
+    doc["edges"][0][2] = 10**30
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps(doc))
+    proc = run_cli(
+        "de", "--graph", graph, "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9,
+        "--out-trajectory", tmp_path / "t.csv", "--out-summary", tmp_path / "s.csv",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "multiplicity" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_generate_rejects_huge_L_with_exit_2(tmp_path):
     # L = 10**12 would need an 8 TB table; the cap stops it with a message.
     out = tmp_path / "g.json"
@@ -223,6 +240,21 @@ def test_import_leaves_scipy_interpolate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    # Nor does the CLI load any of scipy (0.3 s, 23 MiB) or the process pool
+    # that only multi-worker searches use.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, sccdma.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'multiprocessing')"
+            " or m == 'concurrent.futures.process'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threshold_requires_graph_or_uncoupled():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sccdma import (
     CouplingGraph,
@@ -268,6 +272,70 @@ def test_parse_rejects_huge_L_before_allocating():
     with pytest.raises(GraphParseError, match="at least"):
         parse_graph(json.dumps(doc))
 
+
+
+def test_parse_rejects_out_of_range_multiplicity_width_and_provenance():
+    g, assignment = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 7)
+    text = serialize_graph(g, assignment)
+    # Above 2W+1 = 5, including values an int64 table cannot hold.
+    for k in (6, 2**63 - 1, 2**63, 10**30):
+        doc = json.loads(text)
+        doc["edges"][0][2] = k
+        with pytest.raises(GraphParseError, match="multiplicity"):
+            parse_graph(json.dumps(doc))
+    doc = json.loads(text)
+    doc["W"] = 32
+    with pytest.raises(GraphParseError, match="2W\\+2"):
+        parse_graph(json.dumps(doc))
+    for field, value in (("p", 2.0), ("p", float("nan")), ("p", 10**400), ("c", 0), ("seed", -1)):
+        doc = json.loads(text)
+        doc["provenance"][field] = value
+        with pytest.raises(GraphParseError, match="provenance"):
+            parse_graph(json.dumps(doc))
+
+
+_FUZZ_TEXT = serialize_graph(*sw_rewire(make_regular(16, 1), 0.3, 2, 4, 5))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 3, 4, 16, 2**63 - 1, 2**63, 10**30, -(10**30)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _replace_somewhere(data, node):
+    """Replace one value, at a drawn depth, inside the JSON container ``node``."""
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+            return
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_graph_fuzz_gives_graph_or_parse_error(data):
+    doc = json.loads(_FUZZ_TEXT)
+    for _ in range(data.draw(st.integers(0, 2))):
+        _replace_somewhere(data, doc)
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        start = data.draw(st.integers(0, len(text)))
+        stop = data.draw(st.integers(start, min(len(text), start + 6)))
+        text = text[:start] + data.draw(st.text(max_size=6)) + text[stop:]
+    try:
+        graph, assignment = parse_graph(text)
+    except GraphParseError:
+        return
+    assert isinstance(graph, CouplingGraph)
+    assert isinstance(assignment, TrainingAssignment)
 
 
 def test_chain_length_cap_rejects_before_allocating():

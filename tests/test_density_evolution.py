@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from sccdma import (
     MMSE_CUTOFF,
@@ -24,7 +25,7 @@ from sccdma import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from sccdma.density_evolution import _MMSE_UPPER, _mmse_quadrature
+from sccdma.density_evolution import _MMSE_UPPER, _Q_BLOCK, _mmse_quadrature
 
 # Gaussian upper-tail values from a 40-digit numerical integration of the
 # standard normal density (mpmath.quad over [x, inf)), frozen.
@@ -66,6 +67,26 @@ def test_qfunc_symmetry_and_tail():
     assert qfunc(0.0) == 0.5
     assert qfunc(40.0) >= 0.0
     assert qfunc(40.0) < 1e-300
+    assert qfunc(-0.0) == 0.5
+    assert qfunc(np.inf) == 0.0 and qfunc(-np.inf) == 1.0
+    assert np.isnan(qfunc(np.nan))
+    xs = np.linspace(0.0, 9.0, 901)
+    assert np.array_equal(qfunc(-xs), 1.0 - qfunc(xs))
+
+
+def _scipy_q(x):
+    return 0.5 * erfc(x / np.sqrt(2.0))
+
+
+def test_qfunc_matches_scipy_erfc():
+    xs = np.linspace(-10.0, 10.0, 2_000_001)
+    assert np.max(np.abs(qfunc(xs) / _scipy_q(xs) - 1.0)) <= 1e-14
+    xs = np.linspace(-40.0, 40.0, 800_001)
+    ref = _scipy_q(xs)
+    normal = ref > 1e-300
+    assert xs[normal].max() > 37.0
+    assert np.max(np.abs(qfunc(xs[normal]) / ref[normal] - 1.0)) <= 1e-12
+    assert np.all(qfunc(xs[~normal]) <= 1e-300)
 
 
 def test_qfunc_against_tail_oracle():
@@ -78,6 +99,11 @@ def test_qfunc_vectorized_matches_scalar():
     xs = np.linspace(-8.0, 8.0, 97)
     vec = qfunc(xs)
     assert np.array_equal(vec, np.array([qfunc(float(x)) for x in xs]))
+    # Across the blocks a long array is evaluated in, and in any shape.
+    xs = np.linspace(-40.0, 40.0, 3 * (_Q_BLOCK // 2 + 3)).reshape(3, -1)
+    vec = qfunc(xs)
+    assert vec.shape == xs.shape
+    assert np.array_equal(vec.ravel(), [qfunc(float(x)) for x in xs.ravel()])
 
 
 def test_ber_of_examples():
