@@ -255,8 +255,9 @@ def sw_rewire(
         window = sorted(cluster_of(centers[i], g.L, g.W))
         snapshot = mult[:, window].copy()
         for k, m in enumerate(window):
-            for l in range(g.L):
-                for _ in range(int(snapshot[l, k])):
+            column = snapshot[:, k]
+            for l in np.flatnonzero(column).tolist():
+                for _ in range(int(column[l])):
                     if rng.random() < p:
                         mult[l, m] -= 1
                         mult[targets[rng.integers(targets.size)], m] += 1
@@ -365,7 +366,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     for field in ("version", "L", "W", "provenance", "edges", "training"):
         if field not in doc:
             raise GraphParseError(f"missing field {field!r}")
-    version = doc["version"]
+    version = _require_int(doc, "version")
     if version != 1:
         raise GraphParseError(f"unsupported graph version: {version!r}")
     L = _require_int(doc, "L")

@@ -378,9 +378,18 @@ def de_step(
     The new noise levels ``sigma2_rows`` consume the input ``sir``; the
     new sir consumes the new noise levels.  ``loads`` holds the per-row
     loads of :meth:`SystemScenario.row_loads`.
+
+    ``sir`` and ``loads`` may also be stacks of shape (n, L), n states
+    that share ``bsq``; row i of the results then equals, bit for bit,
+    the update of row i alone.
     """
-    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir))
-    return bsq.T @ (1.0 / sigma2_rows), sigma2_rows
+    if sir.ndim == 1:
+        sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir))
+        return bsq.T @ (1.0 / sigma2_rows), sigma2_rows
+    # Broadcast matvecs run the same per-row product as the 1-D form;
+    # ``m @ bsq.T`` would be one matrix product with a different rounding.
+    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir)[:, :, None])[:, :, 0]
+    return (bsq.T @ (1.0 / sigma2_rows)[:, :, None])[:, :, 0], sigma2_rows
 
 
 def run_de(
@@ -422,17 +431,32 @@ def run_de(
     )
 
 
+# The CSV number format: 17 significant digits, enough to round-trip.
+_FLOAT_FORMAT = "%.17g"
+_TRAJECTORY_ROW = f"%d,%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
+# Trajectory lines formatted per write; bounds the text held at once.
+_WRITE_LINES = 8192
+
+
 def format_float(value: float) -> str:
     """A float as CSV text: 17 significant digits, enough to round-trip."""
-    return f"{value:.17g}"
+    return _FLOAT_FORMAT % value
 
 
 def write_trajectory_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     """Long-format per-position table: iteration,position,sir,ber."""
     stream.write("iteration,position,sir,ber\n")
-    for i in range(traj.sir.shape[0]):
-        for m in range(traj.sir.shape[1]):
-            stream.write(f"{i},{m},{format_float(traj.sir[i, m])},{format_float(traj.ber[i, m])}\n")
+    n, L = traj.sir.shape
+    block = max(1, _WRITE_LINES // L)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = zip(
+            np.repeat(np.arange(start, stop), L).tolist(),
+            list(range(L)) * (stop - start),
+            traj.sir[start:stop].ravel().tolist(),
+            traj.ber[start:stop].ravel().tolist(),
+        )
+        stream.write("".join(map(_TRAJECTORY_ROW.__mod__, rows)))
 
 
 def write_summary_csv(traj: DeTrajectory, stream: IO[str]) -> None:

@@ -18,6 +18,7 @@ from typing import IO
 
 import numpy as np
 
+from . import density_evolution
 from .coupling import BaseMatrix, TrainingAssignment, average_load
 from .density_evolution import SystemScenario, format_float, mmse_bpsk, qfunc, run_de
 
@@ -47,6 +48,10 @@ DEFAULT_SUCCESS_BER = 2e-3
 # it from below as L and W grow; reference value only, nothing here
 # computes it.
 ALPHA_MAP_10DB = 1.98267
+
+# Levels of the bisection tree below the current probe that run alongside
+# it: depth 2 stacks at most 7 DE states.
+_SPECULATION_DEPTH = 2
 
 
 class BracketError(ValueError):
@@ -174,12 +179,96 @@ def _check_monotone(log: list[DeEvaluation], new: DeEvaluation) -> None:
             )
 
 
+def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[tuple[float, float]]:
+    """Brackets that bisection from (lo, hi) may probe within ``depth`` more levels."""
+    if hi - lo <= tol:
+        return []
+    if depth == 0:
+        return [(lo, hi)]
+    mid = 0.5 * (lo + hi)
+    return [(lo, hi), *_subtree(lo, mid, tol, depth - 1), *_subtree(mid, hi, tol, depth - 1)]
+
+
+def _bisect(
+    query: ThresholdQuery, lo: float, hi: float, log: list[DeEvaluation]
+) -> tuple[float, float]:
+    """Bisect (lo, hi) down to ``alpha_tol``, appending each probe to ``log``; returns the bracket.
+
+    A probe's DE run does not depend on any other probe, so the current
+    probe runs in one lockstep stack with every probe of the next
+    ``_SPECULATION_DEPTH`` levels below it.  When the current probe
+    decides, the branch it rules out leaves the stack and the next level
+    joins.  Each row stops by :func:`run_de`'s rule and keeps only its
+    last state, so the logged evaluations, and the path they take, are
+    those of probing one midpoint after another.
+    """
+    L, bsq, sigma2 = query.B.L, query.B.bsq, query.sigma2
+    sir = np.zeros((0, L))
+    loads = np.zeros((0, L))
+    keys: list[tuple[float, float]] = []  # bracket of each stacked row
+    started: list[int] = []  # step at which each row left the zero state
+    decided: dict[tuple[float, float], DeEvaluation] = {}
+    step = 0
+    while hi - lo > query.alpha_tol:
+        if (lo, hi) in decided:
+            ev = decided[(lo, hi)]
+            _check_monotone(log, ev)
+            log.append(ev)
+            if ev.success:
+                lo = ev.alpha
+            else:
+                hi = ev.alpha
+            continue
+
+        # Keep the undecided rows of the current probe's subtree, then add
+        # the probes of that subtree that have not run yet.
+        wanted = _subtree(lo, hi, query.alpha_tol, _SPECULATION_DEPTH)
+        decided = {key: ev for key, ev in decided.items() if key in wanted}
+        keep = [i for i, key in enumerate(keys) if key in wanted and key not in decided]
+        sir, loads = sir[keep], loads[keep]
+        keys = [keys[i] for i in keep]
+        started = [started[i] for i in keep]
+        joining = [key for key in wanted if key not in decided and key not in keys]
+        if joining:
+            sir = np.vstack([sir, np.zeros((len(joining), L))])
+            loads = np.vstack(
+                [loads, *(query.scenario(0.5 * (a + b)).row_loads(L) for a, b in joining)]
+            )
+            keys += joining
+            started += [step] * len(joining)
+
+        deadline = min(started) + query.max_iter
+        while True:
+            new, _ = density_evolution.de_step(sir, bsq, sigma2, loads)
+            step += 1
+            residual = abs(new - sir).max(axis=1)
+            sir = new
+            if step == deadline or residual.min() < query.sir_tol:
+                break
+        converged = residual < query.sir_tol
+        iterations = step - np.array(started)
+        finished = converged | (iterations == query.max_iter)
+        max_bers = qfunc(np.sqrt(sir[finished])).max(axis=1)
+        for i, max_ber in zip(np.flatnonzero(finished).tolist(), max_bers.tolist()):
+            a, b = keys[i]
+            decided[keys[i]] = DeEvaluation(
+                alpha=0.5 * (a + b),
+                converged=bool(converged[i]),
+                max_ber=max_ber,
+                iterations=int(iterations[i]),
+                success=bool(converged[i] and max_ber <= query.success_ber),
+            )
+    return lo, hi
+
+
 def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     """Bisect the bracket on the density-evolution success flag.
 
-    Requires success at ``alpha_lo`` and failure at ``alpha_hi``.  The
-    returned estimate is the final bracket's low end, the last load at
-    which the run still succeeded.
+    Requires success at ``alpha_lo`` and failure at ``alpha_hi``, each
+    checked by :func:`run_de`; the midpoints then run speculatively in
+    lockstep (see :func:`_bisect`), with the same log as one run after
+    another.  The returned estimate is the final bracket's low end, the
+    last load at which the run still succeeded.
     """
     log: list[DeEvaluation] = []
     lo_eval = _evaluate(query, query.alpha_lo)
@@ -195,18 +284,7 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
             f"alpha_hi={query.alpha_hi} success={hi_eval.success} "
             f"(converged={hi_eval.converged}, max_ber={hi_eval.max_ber:.6g})"
         )
-
-    lo, hi = query.alpha_lo, query.alpha_hi
-    while hi - lo > query.alpha_tol:
-        mid = 0.5 * (lo + hi)
-        ev = _evaluate(query, mid)
-        _check_monotone(log, ev)
-        log.append(ev)
-        if ev.success:
-            lo = mid
-        else:
-            hi = mid
-
+    lo, hi = _bisect(query, query.alpha_lo, query.alpha_hi, log)
     return ThresholdResult(
         alpha_bp=lo,
         bracket=(lo, hi),

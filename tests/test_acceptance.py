@@ -28,6 +28,7 @@ from sccdma import (
     average_load,
     bp_threshold,
     cluster_of,
+    de_step,
     ensemble_search,
     make_regular,
     mmse_bpsk,
@@ -181,7 +182,7 @@ def test_criterion_6_wave_nucleates_in_clusters_and_floors_at_1e3():
 
 def test_criterion_7a_monotone_de_property():
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = worst_stacked = 0.0
     done = 0
     while done < 50:
         W = int(rng.integers(1, 4))
@@ -201,10 +202,29 @@ def test_criterion_7a_monotone_de_property():
                 tuple(sorted(rng.choice(L, size=tau, replace=False).tolist())), tau
             )
         scen = SystemScenario(sigma2=sigma2, alpha_tr=alpha_tr, alpha=alpha, training_set=ta)
-        traj = run_de(to_base_matrix(g), scen, max_iter=40)
+        B = to_base_matrix(g)
+        traj = run_de(B, scen, max_iter=40)
         worst = min(worst, float(np.diff(traj.sir, axis=0).min()))
+        # The same recursion on a lockstep stack of three loads sharing B,
+        # as bisection runs it; a fourth state joins halfway from zero.
+        loads = np.stack(
+            [replace(scen, alpha=a).row_loads(L) for a in (alpha, 0.8 * alpha, 1.1 * alpha)]
+        )
+        sir = np.zeros_like(loads)
+        for step in range(40):
+            if step == 20:
+                loads = np.vstack([loads, replace(scen, alpha=0.9 * alpha).row_loads(L)])
+                sir = np.vstack([sir, np.zeros(L)])
+            new, _ = de_step(sir, B.bsq, sigma2, loads)
+            worst_stacked = min(worst_stacked, float((new - sir).min()))
+            sir = new
         done += 1
-    _verdict("7a", worst >= -1e-12, f"min sir increment {worst:.2e} over 50 configurations")
+    _verdict(
+        "7a",
+        worst >= -1e-12 and worst_stacked >= -1e-12,
+        f"min sir increment {worst:.2e} over 50 configurations, "
+        f"{worst_stacked:.2e} on their stacked de_step",
+    )
 
 
 def test_criterion_7b_rewired_graph_invariants():

@@ -255,6 +255,12 @@ def test_parse_rejects_bad_version_and_training():
     doc["version"] = 2
     with pytest.raises(GraphParseError):
         parse_graph(json.dumps(doc))
+    # Equal to 1 in Python, but not the integer 1.
+    for version in (True, 1.0):
+        doc = json.loads(text)
+        doc["version"] = version
+        with pytest.raises(GraphParseError, match="version"):
+            parse_graph(json.dumps(doc))
     doc = json.loads(text)
     doc["training"] = [8]
     with pytest.raises(GraphParseError):

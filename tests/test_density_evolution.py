@@ -254,6 +254,31 @@ def test_de_step_dimension_mismatch():
         _step(sir, B8, scen)
 
 
+def test_de_step_stack_rows_equal_single_calls():
+    # A row's update must not depend on the stack it sits in: bisection
+    # runs probes in lockstep and logs what one run at a time would give.
+    rng = np.random.default_rng(31)
+    rewired, _ = sw_rewire(make_regular(64, 2), 0.2, 2, 14, 23)
+    matrices = (
+        to_base_matrix(make_regular(64, 2)).bsq,
+        to_base_matrix(rewired).bsq,
+        UNCOUPLED.bsq,
+    )
+    for bsq in matrices:
+        L = bsq.shape[0]
+        for n in range(1, 16):
+            sir = rng.uniform(0.0, 12.0, (n, L))
+            sir[rng.random((n, L)) < 0.3] = 0.0
+            sir[0] = 0.0
+            loads = rng.uniform(0.5, 2.5, (n, L))
+            new, sigma2_rows = de_step(sir, bsq, 0.1, loads)
+            assert new.shape == sigma2_rows.shape == (n, L)
+            for i in range(n):
+                one, one_rows = de_step(sir[i], bsq, 0.1, loads[i])
+                assert np.array_equal(new[i], one), (L, n, i)
+                assert np.array_equal(sigma2_rows[i], one_rows), (L, n, i)
+
+
 def test_run_de_rejects_training_index_beyond_chain():
     B8 = to_base_matrix(make_regular(8, 1))
     scen = _scenario(1.9, training=TrainingAssignment((8,), 1))
@@ -389,3 +414,16 @@ def test_trajectory_csv_round_trip():
     i = int(row[0])
     assert float(row[1]) == traj.avg_ber[i]
     assert int(row[3]) == traj.argmin_position[i]
+
+
+def test_trajectory_csv_matches_per_cell_format_across_blocks():
+    # 215 x 64 cells: the writer formats them in two blocks.
+    traj = run_de(to_base_matrix(make_regular(64, 2)), _scenario(1.97), max_iter=500)
+    assert traj.sir.size > 8192
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    want = ["iteration,position,sir,ber\n"]
+    for i in range(traj.sir.shape[0]):
+        for m in range(traj.sir.shape[1]):
+            want.append(f"{i},{m},{traj.sir[i, m]:.17g},{traj.ber[i, m]:.17g}\n")
+    assert buf.getvalue() == "".join(want)

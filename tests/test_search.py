@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
@@ -59,6 +60,37 @@ def test_sample_instance_deterministic_bytes():
     g1, a1 = sample_instance(SPEC_64, 17)
     g2, a2 = sample_instance(SPEC_64, 17)
     assert serialize_graph(g1, a1) == serialize_graph(g2, a2)
+
+
+# sha256 of serialize_graph(*sample_instance(spec, index)), frozen from the
+# rewiring that walked every row of each window column; walking only the
+# nonzero rows must consume the same draws in the same order.
+SERIALIZED_SHA256 = (
+    (SPEC_64, 0, "e33c3b1c7d651b95e972b2fe71ad91ebd431f7d421b81857a328df4d885681f7"),
+    (SPEC_64, 169, "9b8a86c193259acd7a1ad3e6c797aa7cd680f18eae78a5d9d2a8a9125803e147"),
+    (SPEC_64, 199, "2d5b95ceb1c7e6f11c389f9d5b9f682e599affb4c042b85c8985ac1e0ec78ce0"),
+    (
+        EnsembleSpec(L=64, W=2, p=0.5, c=4, tau=20, master_seed=7, n_samples=10),
+        3,
+        "c130f645d39308780a294197eccf867c0047c576ae8c40682060f828d254f0ac",
+    ),
+    (
+        EnsembleSpec(L=48, W=3, p=0.9, c=2, tau=5, master_seed=11, n_samples=5),
+        1,
+        "e524cf6dd874dc7000342a72d5c47eb37cae63276649b6a6b1c881239a4d4d46",
+    ),
+    (
+        EnsembleSpec(L=16, W=1, p=0.3, c=2, tau=3, master_seed=0, n_samples=5),
+        4,
+        "d79803921654e1752f768710db4b1c2ffc449f5f4b5f6b0ee51c941ffc30743f",
+    ),
+)
+
+
+@pytest.mark.parametrize("spec, index, digest", SERIALIZED_SHA256)
+def test_sample_instance_serialized_digest_is_frozen(spec, index, digest):
+    text = serialize_graph(*sample_instance(spec, index))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sample_instance_matches_direct_rewire():

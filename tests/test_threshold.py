@@ -11,15 +11,20 @@ from sccdma import (
     BracketError,
     DeEvaluation,
     ThresholdQuery,
+    ThresholdResult,
     TrainingAssignment,
+    average_load,
     bp_threshold,
     de_success,
     make_regular,
+    run_de,
     scalar_fixed_points,
+    sw_rewire,
     to_base_matrix,
     write_evaluation_log_csv,
     write_threshold_csv,
 )
+from sccdma import density_evolution, threshold
 from sccdma.threshold import _check_monotone
 
 UNCOUPLED = BaseMatrix(L=1, bsq=np.array([[1.0]]))
@@ -199,3 +204,109 @@ def test_threshold_csv_round_trip():
     assert lines[0] == "alpha,converged,max_ber,iterations"
     assert len(lines) == 1 + result.de_evaluations
     assert {ln.split(",")[1] for ln in lines[1:]} <= {"true", "false"}
+
+
+def _sequential_bp_threshold(query):
+    """Reference bisection: one run_de per probe, in path order."""
+
+    def evaluate(alpha):
+        traj = run_de(query.B, query.scenario(alpha), max_iter=query.max_iter, tol=query.sir_tol)
+        max_ber = float(traj.ber[-1].max())
+        success = bool(traj.converged and max_ber <= query.success_ber)
+        return DeEvaluation(alpha, traj.converged, max_ber, traj.iterations_run, success)
+
+    log = [evaluate(query.alpha_lo), evaluate(query.alpha_hi)]
+    assert log[0].success and not log[1].success
+    lo, hi = query.alpha_lo, query.alpha_hi
+    while hi - lo > query.alpha_tol:
+        mid = 0.5 * (lo + hi)
+        log.append(evaluate(mid))
+        if log[-1].success:
+            lo = mid
+        else:
+            hi = mid
+    return ThresholdResult(
+        alpha_bp=lo,
+        bracket=(lo, hi),
+        de_evaluations=len(log),
+        avg_load_at_threshold=average_load(query.alpha_tr, lo, query.training_set.tau, query.B.L),
+        success_ber=query.success_ber,
+        alpha_tol=query.alpha_tol,
+        log=tuple(log),
+    )
+
+
+def _csv_bytes(result):
+    buf = io.StringIO()
+    write_threshold_csv(result, buf)
+    write_evaluation_log_csv(result, buf)
+    return buf.getvalue()
+
+
+def _rewired_query():
+    g, assignment = sw_rewire(make_regular(32, 2), 0.4, 2, 6, 3)
+    return ThresholdQuery(
+        B=to_base_matrix(g),
+        sigma2=0.1,
+        alpha_tr=1.45,
+        training_set=assignment,
+        alpha_lo=1.0,
+        alpha_hi=2.5,
+        max_iter=60,
+    )
+
+
+SPECULATION_CASES = {
+    "uncoupled": _uncoupled_query,
+    "regular16": lambda: ThresholdQuery(
+        B=to_base_matrix(make_regular(16, 1)),
+        sigma2=0.1,
+        alpha_tr=1.2,
+        training_set=TrainingAssignment((0, 1, 8), 3),
+        alpha_lo=1.0,
+        alpha_hi=2.5,
+    ),
+    # Probes near the threshold run out of their 60 iterations; one
+    # converges on its last one.
+    "rewired_budget60": _rewired_query,
+    # 26 probes, far deeper than the stack; eight run out of budget.
+    "uncoupled_fine_budget400": lambda: _uncoupled_query(alpha_tol=1e-7, max_iter=400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECULATION_CASES))
+def test_speculative_bisection_matches_sequential_reference(case):
+    query = SPECULATION_CASES[case]()
+    result = bp_threshold(query)
+    reference = _sequential_bp_threshold(query)
+    assert result == reference
+    assert _csv_bytes(result) == _csv_bytes(reference)
+    if "budget" in case:
+        assert any(not ev.converged for ev in result.log)
+        assert any(ev.converged and ev.iterations == query.max_iter for ev in result.log)
+
+
+def test_speculative_bisection_runs_bracket_ends_alone_and_midpoints_stacked(monkeypatch):
+    # The bracket ends go through threshold.run_de and the midpoints
+    # through density_evolution.de_step, looked up at call time, so a
+    # caller that rebinds either name sees every call.
+    runs, stacks = [], []
+    real_run_de = threshold.run_de
+    real_de_step = density_evolution.de_step
+
+    def counting_run_de(*args, **kwargs):
+        runs.append(args[1].alpha)
+        return real_run_de(*args, **kwargs)
+
+    def counting_de_step(sir, *args):
+        stacks.append(sir.shape[0] if sir.ndim == 2 else 0)
+        return real_de_step(sir, *args)
+
+    monkeypatch.setattr(threshold, "run_de", counting_run_de)
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    query = _uncoupled_query()
+    result = bp_threshold(query)
+    assert runs == [query.alpha_lo, query.alpha_hi]
+    midpoint_steps = [n for n in stacks if n]
+    assert 1 <= min(midpoint_steps) and max(midpoint_steps) == 7
+    assert len(midpoint_steps) < sum(ev.iterations for ev in result.log[2:])
