@@ -63,8 +63,7 @@ class Provenance:
             raise ValueError(f"rewiring probability must lie in [0, 1], got {self.p}")
         if self.c < 1:
             raise ValueError(f"cluster count must be positive, got {self.c}")
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +177,43 @@ def check_chain_length(L: int) -> None:
         raise GraphError(f"chain length L={L} exceeds the maximum {MAX_CHAIN_LENGTH}")
 
 
+def check_band(L: int, W: int) -> None:
+    """Reject a regular band that is empty, overlaps itself (L < 2W+2) or is too long."""
+    if W < 1:
+        raise GraphError(f"coupling width must be positive, got W={W}")
+    if L < 2 * W + 2:
+        raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
+    check_chain_length(L)
+
+
+def check_rewiring(L: int, W: int, p: float, c: int) -> None:
+    """Reject rewiring parameters that :func:`sw_rewire` cannot apply to a regular (L, W) band."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
+    if c < 1:
+        raise GraphError(f"cluster count must be positive, got {c}")
+    if p > 0.0 and c < 2:
+        raise GraphError("rewiring needs at least two clusters when p > 0")
+    if L % c != 0:
+        raise GraphError(f"cluster count must divide chain length: L={L}, c={c}")
+    if L // c <= 4 * W:
+        raise GraphError(
+            f"cluster windows overlap: need L/c > 4W, got L={L}, c={c}, W={W}"
+        )
+
+
+def check_quota(tau: int, L: int) -> None:
+    """Reject a training quota outside [1, L]."""
+    if not 1 <= tau <= L:
+        raise ValueError(f"training quota must lie in [1, L={L}], got tau={tau}")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not a 64-bit unsigned integer."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def _regular_mult(L: int, W: int) -> NDArray[np.int64]:
     dist = (np.arange(L)[:, None] - np.arange(L)[None, :]) % L
     return ((dist <= W) | (dist >= L - W)).astype(np.int64)
@@ -188,11 +224,7 @@ def make_regular(L: int, W: int) -> CouplingGraph:
 
     Requires L >= 2W+2 so the circular band does not overlap itself.
     """
-    if W < 1:
-        raise GraphError(f"coupling width must be positive, got W={W}")
-    if L < 2 * W + 2:
-        raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
-    check_chain_length(L)
+    check_band(L, W)
     return CouplingGraph(L=L, W=W, mult=_regular_mult(L, W))
 
 
@@ -226,22 +258,10 @@ def sw_rewire(
     from the same generator afterwards, so a single seed reproduces the
     whole instance.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
-    if c < 1:
-        raise GraphError(f"cluster count must be positive, got {c}")
-    if p > 0.0 and c < 2:
-        raise GraphError("rewiring needs at least two clusters when p > 0")
-    if g.L % c != 0:
-        raise GraphError(f"cluster count must divide chain length: L={g.L}, c={c}")
-    if g.L // c <= 4 * g.W:
-        raise GraphError(
-            f"cluster windows overlap: need L/c > 4W, got L={g.L}, c={c}, W={g.W}"
-        )
+    check_rewiring(g.L, g.W, p, c)
     if not np.array_equal(g.mult, _regular_mult(g.L, g.W)):
         raise GraphError("rewiring must start from the regular graph")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     mult = np.array(g.mult)
@@ -278,8 +298,7 @@ def assign_training(
     without replacement from the first level that does not.  Degree-0
     factor nodes are never selected.
     """
-    if not 1 <= tau <= g.L:
-        raise ValueError(f"training quota must lie in [1, L={g.L}], got tau={tau}")
+    check_quota(tau, g.L)
     degrees = g.factor_degrees()
     chosen: list[int] = []
     quota = tau

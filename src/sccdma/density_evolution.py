@@ -392,6 +392,43 @@ def de_step(
     return (bsq.T @ (1.0 / sigma2_rows)[:, :, None])[:, :, 0], sigma2_rows
 
 
+def check_de_budget(max_iter: int, tol: float) -> None:
+    """Reject an iteration budget or a sir tolerance that is not positive."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be positive, got {max_iter}")
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
+def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None):
+    """Advance DE states in lockstep until one stops; returns (sir, steps, converged, done).
+
+    ``sir`` is one state (L,) or a stack (n, L) of states that share
+    ``bsq``, with ``loads`` of the same shape; ``steps`` counts the steps
+    each has taken so far (an int, or one per row), all below
+    ``max_iter``.  A state stops once its largest sir change falls below
+    ``tol`` (converged) or after ``max_iter`` steps.  Returns, after the
+    first step at which any state stops, every state's last value, step
+    count and converged flag, and ``done`` for the states that stopped.
+    ``record``, if given, receives each new state.  This loop is the
+    only caller of :func:`de_step`, looked up at call time.
+    """
+    # A single state's residual is a numpy scalar: float() reads it in
+    # about 60 ns, where its .min() takes 2.6 us, a tenth of a step.
+    least = float if sir.ndim == 1 else np.ndarray.min
+    for taken in range(1, max_iter - np.max(steps) + 1):
+        new, _ = de_step(sir, bsq, sigma2, loads)
+        if record is not None:
+            record(new)
+        residual = abs(new - sir).max(axis=-1)
+        sir = new
+        if least(residual) < tol:
+            break
+    steps = steps + taken
+    converged = residual < tol
+    return sir, steps, converged, converged | (steps == max_iter)
+
+
 def run_de(
     B: BaseMatrix,
     scen: SystemScenario,
@@ -403,21 +440,11 @@ def run_de(
     Stops once the largest sir change falls below ``tol`` (converged)
     or after ``max_iter`` iterations (not converged).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    loads = scen.row_loads(B.L)
-    sir = np.zeros(B.L)
-    rows = [sir]
-    converged = False
-    for _ in range(max_iter):
-        new, _ = de_step(sir, B.bsq, scen.sigma2, loads)
-        rows.append(new)
-        if float(abs(new - sir).max()) < tol:
-            converged = True
-            break
-        sir = new
+    check_de_budget(max_iter, tol)
+    rows = [np.zeros(B.L)]
+    _, _, converged, _ = _lockstep(
+        rows[0], 0, B.bsq, scen.sigma2, scen.row_loads(B.L), max_iter, tol, rows.append
+    )
     table = np.vstack(rows)
     ber = qfunc(np.sqrt(table))
     return DeTrajectory(
@@ -426,7 +453,7 @@ def run_de(
         avg_ber=ber.mean(axis=1),
         min_ber=ber.min(axis=1),
         argmin_position=ber.argmin(axis=1).astype(np.int64),
-        converged=converged,
+        converged=bool(converged),
         iterations_run=table.shape[0] - 1,
     )
 

@@ -17,14 +17,18 @@ from typing import IO
 import numpy as np
 
 from .coupling import (
+    BaseMatrix,
     CouplingGraph,
     TrainingAssignment,
-    check_chain_length,
+    check_band,
+    check_quota,
+    check_rewiring,
+    check_seed,
     make_regular,
     sw_rewire,
     to_base_matrix,
 )
-from .density_evolution import SystemScenario, format_float, run_de
+from .density_evolution import SystemScenario, check_de_budget, format_float, run_de
 from .threshold import (
     DEFAULT_SUCCESS_BER,
     BracketError,
@@ -61,8 +65,7 @@ def _mix64(z: int) -> int:
 
 def instance_seed(master_seed: int, index: int) -> int:
     """Seed for sample ``index``: splitmix64 of master_seed + (index+1) * golden gamma."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
+    check_seed(master_seed)
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
     return _mix64(master_seed + (index + 1) * _GOLDEN)
@@ -81,27 +84,12 @@ class EnsembleSpec:
     n_samples: int
 
     def __post_init__(self) -> None:
-        # Same requirements as sw_rewire, checked up front so a bad spec
-        # fails before any sampling starts.
-        check_chain_length(self.L)
-        if self.L < 2 * self.W + 2:
-            raise ValueError(f"need L >= 2W+2, got L={self.L}, W={self.W}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"rewiring probability must lie in [0, 1], got {self.p}")
-        if self.c < 1 or (self.p > 0.0 and self.c < 2):
-            raise ValueError(f"cluster count {self.c} invalid for p={self.p}")
-        if self.L % self.c != 0:
-            raise ValueError(f"cluster count must divide L: L={self.L}, c={self.c}")
-        if self.L // self.c <= 4 * self.W:
-            raise ValueError(
-                f"cluster windows overlap: need L/c > 4W, got L={self.L}, c={self.c}, W={self.W}"
-            )
-        if not 1 <= self.tau <= self.L:
-            raise ValueError(f"training quota must lie in [1, L={self.L}], got {self.tau}")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(
-                f"master seed must be a 64-bit unsigned integer, got {self.master_seed}"
-            )
+        # The checks of make_regular, sw_rewire and assign_training, run up
+        # front so a bad spec fails before any sampling starts.
+        check_band(self.L, self.W)
+        check_rewiring(self.L, self.W, self.p, self.c)
+        check_quota(self.tau, self.L)
+        check_seed(self.master_seed)
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
 
@@ -145,6 +133,11 @@ def sample_instance(
     )
 
 
+def _check_target_ber(target_ber: float) -> None:
+    if not 0.0 < target_ber <= 0.5:
+        raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
+
+
 def score_instance(
     g: CouplingGraph,
     assignment: TrainingAssignment,
@@ -159,8 +152,7 @@ def score_instance(
     The instance's own training assignment supersedes the one in the
     scenario template.
     """
-    if not 0.0 < target_ber <= 0.5:
-        raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
+    _check_target_ber(target_ber)
     traj = run_de(
         to_base_matrix(g),
         replace(scen, training_set=assignment),
@@ -222,6 +214,25 @@ def ensemble_search(
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    # Checked here as well as per instance, so bad arguments fail before
+    # any sampling starts.
+    _check_target_ber(target_ber)
+    check_de_budget(max_iter, sir_tol)
+    if with_thresholds:
+        # Every finalist's query is this one with its own graph and training
+        # set; the uncoupled matrix stands in until then.
+        shared_query = ThresholdQuery(
+            B=BaseMatrix(L=1, bsq=[[1.0]]),
+            sigma2=scen.sigma2,
+            alpha_tr=scen.alpha_tr,
+            training_set=scen.training_set,
+            alpha_lo=alpha_lo,
+            alpha_hi=alpha_hi,
+            alpha_tol=alpha_tol,
+            success_ber=success_ber,
+            max_iter=threshold_max_iter,
+            sir_tol=sir_tol,
+        )
     jobs = [
         (spec, scen, target_ber, max_iter, sir_tol, index)
         for index in range(spec.n_samples)
@@ -246,18 +257,7 @@ def ensemble_search(
         finalists = []
         for score in scores[:_THRESHOLD_FINALISTS]:
             g, assignment = sample_instance(spec, score.index)
-            query = ThresholdQuery(
-                B=to_base_matrix(g),
-                sigma2=scen.sigma2,
-                alpha_tr=scen.alpha_tr,
-                training_set=assignment,
-                alpha_lo=alpha_lo,
-                alpha_hi=alpha_hi,
-                alpha_tol=alpha_tol,
-                success_ber=success_ber,
-                max_iter=threshold_max_iter,
-                sir_tol=sir_tol,
-            )
+            query = replace(shared_query, B=to_base_matrix(g), training_set=assignment)
             try:
                 finalists.append(replace(score, threshold=bp_threshold(query)))
             except BracketError as exc:

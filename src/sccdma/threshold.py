@@ -18,9 +18,16 @@ from typing import IO
 
 import numpy as np
 
-from . import density_evolution
 from .coupling import BaseMatrix, TrainingAssignment, average_load
-from .density_evolution import SystemScenario, format_float, mmse_bpsk, qfunc, run_de
+from .density_evolution import (
+    SystemScenario,
+    _lockstep,
+    check_de_budget,
+    format_float,
+    mmse_bpsk,
+    qfunc,
+    run_de,
+)
 
 __all__ = [
     "ALPHA_MAP_10DB",
@@ -102,10 +109,7 @@ class ThresholdQuery:
                 f"success level {self.success_ber} is unreachable: the single-user "
                 f"bound at this noise level is {single_user:.6g}"
             )
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.sir_tol <= 0.0:
-            raise ValueError(f"sir tolerance must be positive, got {self.sir_tol}")
+        check_de_budget(self.max_iter, self.sir_tol)
 
     def scenario(self, alpha: float) -> SystemScenario:
         return SystemScenario(
@@ -138,6 +142,19 @@ class ThresholdResult:
             raise ValueError("evaluation count does not match the log")
 
 
+def _evaluation(
+    query: ThresholdQuery, alpha: float, converged: bool, max_ber: float, iterations: int
+) -> DeEvaluation:
+    """The logged outcome of a DE run at ``alpha`` that stopped with this largest BER."""
+    return DeEvaluation(
+        alpha=alpha,
+        converged=bool(converged),
+        max_ber=max_ber,
+        iterations=int(iterations),
+        success=bool(converged) and max_ber <= query.success_ber,
+    )
+
+
 def _evaluate(query: ThresholdQuery, alpha: float) -> DeEvaluation:
     traj = run_de(
         query.B,
@@ -145,13 +162,8 @@ def _evaluate(query: ThresholdQuery, alpha: float) -> DeEvaluation:
         max_iter=query.max_iter,
         tol=query.sir_tol,
     )
-    max_ber = float(traj.ber[-1].max())
-    return DeEvaluation(
-        alpha=alpha,
-        converged=traj.converged,
-        max_ber=max_ber,
-        iterations=traj.iterations_run,
-        success=bool(traj.converged and max_ber <= query.success_ber),
+    return _evaluation(
+        query, alpha, traj.converged, float(traj.ber[-1].max()), traj.iterations_run
     )
 
 
@@ -198,17 +210,17 @@ def _bisect(
     probe runs in one lockstep stack with every probe of the next
     ``_SPECULATION_DEPTH`` levels below it.  When the current probe
     decides, the branch it rules out leaves the stack and the next level
-    joins.  Each row stops by :func:`run_de`'s rule and keeps only its
-    last state, so the logged evaluations, and the path they take, are
-    those of probing one midpoint after another.
+    joins.  The stack steps through the same loop, and stop rule, as
+    :func:`run_de`, and each row keeps only its last state, so the logged
+    evaluations, and the path they take, are those of probing one
+    midpoint after another.
     """
-    L, bsq, sigma2 = query.B.L, query.B.bsq, query.sigma2
+    L = query.B.L
     sir = np.zeros((0, L))
     loads = np.zeros((0, L))
+    steps = np.zeros(0, dtype=np.int64)
     keys: list[tuple[float, float]] = []  # bracket of each stacked row
-    started: list[int] = []  # step at which each row left the zero state
     decided: dict[tuple[float, float], DeEvaluation] = {}
-    step = 0
     while hi - lo > query.alpha_tol:
         if (lo, hi) in decided:
             ev = decided[(lo, hi)]
@@ -225,38 +237,25 @@ def _bisect(
         wanted = _subtree(lo, hi, query.alpha_tol, _SPECULATION_DEPTH)
         decided = {key: ev for key, ev in decided.items() if key in wanted}
         keep = [i for i, key in enumerate(keys) if key in wanted and key not in decided]
-        sir, loads = sir[keep], loads[keep]
+        sir, loads, steps = sir[keep], loads[keep], steps[keep]
         keys = [keys[i] for i in keep]
-        started = [started[i] for i in keep]
         joining = [key for key in wanted if key not in decided and key not in keys]
         if joining:
             sir = np.vstack([sir, np.zeros((len(joining), L))])
             loads = np.vstack(
                 [loads, *(query.scenario(0.5 * (a + b)).row_loads(L) for a, b in joining)]
             )
+            steps = np.append(steps, np.zeros(len(joining), dtype=np.int64))
             keys += joining
-            started += [step] * len(joining)
 
-        deadline = min(started) + query.max_iter
-        while True:
-            new, _ = density_evolution.de_step(sir, bsq, sigma2, loads)
-            step += 1
-            residual = abs(new - sir).max(axis=1)
-            sir = new
-            if step == deadline or residual.min() < query.sir_tol:
-                break
-        converged = residual < query.sir_tol
-        iterations = step - np.array(started)
-        finished = converged | (iterations == query.max_iter)
-        max_bers = qfunc(np.sqrt(sir[finished])).max(axis=1)
-        for i, max_ber in zip(np.flatnonzero(finished).tolist(), max_bers.tolist()):
+        sir, steps, converged, done = _lockstep(
+            sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol
+        )
+        max_bers = qfunc(np.sqrt(sir[done])).max(axis=1)
+        for i, max_ber in zip(np.flatnonzero(done).tolist(), max_bers.tolist()):
             a, b = keys[i]
-            decided[keys[i]] = DeEvaluation(
-                alpha=0.5 * (a + b),
-                converged=bool(converged[i]),
-                max_ber=max_ber,
-                iterations=int(iterations[i]),
-                success=bool(converged[i] and max_ber <= query.success_ber),
+            decided[keys[i]] = _evaluation(
+                query, 0.5 * (a + b), converged[i], max_ber, steps[i]
             )
     return lo, hi
 

@@ -17,6 +17,8 @@ from sccdma import (
     sw_rewire,
     to_base_matrix,
 )
+from sccdma import search
+from sccdma.cli import main
 
 REG_TRAINING = "61,62,63,0,1,2,3,29,30,31,32,33,34,35"
 
@@ -279,6 +281,28 @@ def test_search_deterministic_and_worker_invariant(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--W", 0),
+        ("--W", -1),
+        ("--target-ber", 0.7),
+        ("--tol", -1),
+        ("--with-thresholds", "--alpha-tol", -1),
+    ],
+)
+def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, capsys, flags):
+    # One message and exit 2, not one failure per sampled instance.
+    sampled = []
+    monkeypatch.setattr(search, "sample_instance", lambda *args: sampled.append(args))
+    out = tmp_path / "report.csv"
+    assert main([str(arg) for arg in (*_search_args(out), *flags)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    assert sampled == []
+    assert not out.exists()
 
 
 def test_search_writes_best_graph(tmp_path):

@@ -25,7 +25,7 @@ from sccdma import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from sccdma.density_evolution import _MMSE_UPPER, _Q_BLOCK, _mmse_quadrature
+from sccdma.density_evolution import _MMSE_UPPER, _Q_BLOCK, _lockstep, _mmse_quadrature
 
 # Gaussian upper-tail values from a 40-digit numerical integration of the
 # standard normal density (mpmath.quad over [x, inf)), frozen.
@@ -277,6 +277,50 @@ def test_de_step_stack_rows_equal_single_calls():
                 one, one_rows = de_step(sir[i], bsq, 0.1, loads[i])
                 assert np.array_equal(new[i], one), (L, n, i)
                 assert np.array_equal(sigma2_rows[i], one_rows), (L, n, i)
+
+
+def test_lockstep_rows_joining_late_stop_where_run_de_stops():
+    # Rows join a running stack at different steps, as probes join
+    # speculative bisection, and leave once they stop.  Each must end with
+    # run_de's last state, converged flag and step count for its load
+    # alone.  With 62 steps, load 1.75 converges on its last allowed step
+    # and loads 1.8-1.9 run out (alone they take 388, 104 and 75); 1.85
+    # starts one step ahead, so it runs out while 1.8 has one step left.
+    g, assignment = sw_rewire(make_regular(32, 2), 0.4, 2, 6, 3)
+    B = to_base_matrix(g)
+    max_iter, tol = 62, 1e-8
+
+    def row_loads(alpha):
+        return _scenario(alpha, training=assignment).row_loads(B.L)
+
+    ahead, ahead_steps, _, _ = _lockstep(np.zeros(B.L), 0, B.bsq, 0.1, row_loads(1.85), 1, tol)
+    alphas, joined_at, outcomes = [1.85], {1.85: -1}, {}
+    sir, loads, steps = ahead[None, :], row_loads(1.85)[None, :], np.array([ahead_steps])
+    pending = [1.8, 1.2, 1.5, 1.75, 2.2, 1.9, 2.5]
+    clock = 0
+    while pending or alphas:
+        for alpha in pending[:2]:
+            alphas.append(alpha)
+            joined_at[alpha] = clock
+            sir = np.vstack([sir, np.zeros(B.L)])
+            loads = np.vstack([loads, row_loads(alpha)])
+            steps = np.append(steps, 0)
+        del pending[:2]
+        before = int(steps[0])
+        sir, steps, converged, done = _lockstep(sir, steps, B.bsq, 0.1, loads, max_iter, tol)
+        clock += int(steps[0]) - before
+        for i in np.flatnonzero(done):
+            outcomes[alphas[i]] = (sir[i], bool(converged[i]), int(steps[i]))
+        keep = np.flatnonzero(~done)
+        sir, loads, steps = sir[keep], loads[keep], steps[keep]
+        alphas = [alphas[i] for i in keep]
+    assert len(set(joined_at.values())) == 5
+    for alpha, (last, converged, n_steps) in outcomes.items():
+        traj = run_de(B, _scenario(alpha, training=assignment), max_iter=max_iter, tol=tol)
+        assert np.array_equal(last, traj.sir[-1]), alpha
+        assert (converged, n_steps) == (traj.converged, traj.iterations_run), alpha
+    assert outcomes[1.75][1:] == (True, max_iter)
+    assert [outcomes[a][1:] for a in (1.8, 1.85, 1.9)] == [(False, max_iter)] * 3
 
 
 def test_run_de_rejects_training_index_beyond_chain():

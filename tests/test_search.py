@@ -26,6 +26,7 @@ from sccdma import (
     to_base_matrix,
     write_search_csv,
 )
+from sccdma import search
 
 NO_TRAINING = TrainingAssignment((), 0)
 REG_T = TrainingAssignment(
@@ -136,6 +137,28 @@ def test_ensemble_spec_validation():
     EnsembleSpec(L=MAX_CHAIN_LENGTH, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
     with pytest.raises(GraphError, match="exceeds the maximum"):
         EnsembleSpec(L=10**12, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
+    for W in (0, -1):
+        with pytest.raises(GraphError, match="coupling width must be positive"):
+            EnsembleSpec(L=64, W=W, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(target_ber=0.7),
+        dict(max_iter=0),
+        dict(sir_tol=-1.0),
+        dict(with_thresholds=True, alpha_tol=-1.0),
+        dict(with_thresholds=True, alpha_lo=3.0),
+        dict(with_thresholds=True, threshold_max_iter=0),
+    ],
+)
+def test_ensemble_search_checks_arguments_before_sampling(monkeypatch, bad):
+    sampled = []
+    monkeypatch.setattr(search, "sample_instance", lambda *args: sampled.append(args))
+    with pytest.raises(ValueError):
+        ensemble_search(SPEC_64, _scenario(1.98), **bad)
+    assert sampled == []
 
 
 def test_score_instance_regular_baseline():

@@ -310,3 +310,21 @@ def test_speculative_bisection_runs_bracket_ends_alone_and_midpoints_stacked(mon
     midpoint_steps = [n for n in stacks if n]
     assert 1 <= min(midpoint_steps) and max(midpoint_steps) == 7
     assert len(midpoint_steps) < sum(ev.iterations for ev in result.log[2:])
+
+
+def test_uncoupled_bisection_schedule_is_frozen(monkeypatch):
+    # The work of speculative bisection on the uncoupled query, frozen: the
+    # bracket ends' 40 single-state steps, then 3,589 lockstep steps that
+    # advance 11,632 rows, for 7,043 iterations on the bisection path.
+    stacks = []
+    real_de_step = density_evolution.de_step
+
+    def counting_de_step(sir, *args):
+        stacks.append(sir.shape[0] if sir.ndim == 2 else 0)
+        return real_de_step(sir, *args)
+
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    result = bp_threshold(_uncoupled_query())
+    stacked = [n for n in stacks if n]
+    assert (len(stacks), len(stacked), sum(stacked)) == (3629, 3589, 11632)
+    assert sum(ev.iterations for ev in result.log) == 7043
