@@ -16,6 +16,7 @@ from .coupling import (
     BaseMatrix,
     TrainingAssignment,
     average_load,
+    check_training,
     make_regular,
     parse_graph,
     serialize_graph,
@@ -50,15 +51,12 @@ def _parse_training_flag(text: str) -> tuple[int, ...]:
         members = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"training set must be comma-separated integers, got {text!r}")
-    if not members:
-        raise ValueError("training set must not be empty")
     return members
 
 
 def _training_override(text: str, L: int) -> TrainingAssignment:
     members = _parse_training_flag(text)
-    if any(not 0 <= t < L for t in members):
-        raise ValueError(f"training indices out of range [0, {L}): {sorted(members)}")
+    check_training(members, L)
     return TrainingAssignment(training_set=members, tau=len(members))
 
 
@@ -112,6 +110,8 @@ def cmd_de(args) -> int:
 
 def cmd_threshold(args) -> int:
     if args.uncoupled:
+        if args.training_set is not None:
+            raise ValueError("--training-set needs --graph: an uncoupled system has no training set")
         B, assignment = _UNCOUPLED_B, _NO_TRAINING
     else:
         graph, assignment = _load_graph(args.graph)

@@ -12,6 +12,8 @@ evolution, so graphs convert to base matrices of b^2 values.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +83,7 @@ class CouplingGraph:
     provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise GraphError(f"chain length must be positive, got L={self.L}")
-        if self.W < 1:
-            raise GraphError(f"coupling width must be positive, got W={self.W}")
+        check_band(self.L, self.W)
         mult = np.ascontiguousarray(np.asarray(self.mult, dtype=np.int64))
         if mult.shape != (self.L, self.L):
             raise GraphError(
@@ -130,8 +129,6 @@ class TrainingAssignment:
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
             raise ValueError(f"training set has repeated indices: {members}")
-        if any(t < 0 for t in members):
-            raise ValueError(f"training indices must be nonnegative: {members}")
         if self.tau != len(members):
             raise ValueError(
                 f"tau={self.tau} does not match training set size {len(members)}"
@@ -152,7 +149,7 @@ class BaseMatrix:
         bsq = np.ascontiguousarray(np.asarray(self.bsq, dtype=np.float64))
         if bsq.shape != (self.L, self.L):
             raise GraphError(f"base matrix must be {self.L}x{self.L}, got {bsq.shape}")
-        if (bsq < 0.0).any() or (bsq > 1.0).any():
+        if not ((bsq >= 0.0) & (bsq <= 1.0)).all():  # NaN fails both
             raise GraphError("squared weights must lie in [0, 1]")
         colsum = bsq.sum(axis=0)
         bad = np.flatnonzero(np.abs(colsum - 1.0) > 1e-12)
@@ -171,19 +168,27 @@ class BaseMatrix:
     __hash__ = None  # type: ignore[assignment]
 
 
-def check_chain_length(L: int) -> None:
-    """Reject a chain length above MAX_CHAIN_LENGTH before any L x L allocation."""
-    if L > MAX_CHAIN_LENGTH:
-        raise GraphError(f"chain length L={L} exceeds the maximum {MAX_CHAIN_LENGTH}")
-
-
 def check_band(L: int, W: int) -> None:
     """Reject a regular band that is empty, overlaps itself (L < 2W+2) or is too long."""
     if W < 1:
         raise GraphError(f"coupling width must be positive, got W={W}")
     if L < 2 * W + 2:
         raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
-    check_chain_length(L)
+    if L > MAX_CHAIN_LENGTH:
+        raise GraphError(f"chain length L={L} exceeds the maximum {MAX_CHAIN_LENGTH}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject NaN, inf and values below the smallest normal float, whose reciprocal overflows."""
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"{name} must be positive and finite (a normal float), got {value}")
+
+
+def check_training(members, L: int) -> None:
+    """Reject training indices outside [0, L)."""
+    bad = [t for t in members if not 0 <= t < L]
+    if bad:
+        raise ValueError(f"training indices {bad} out of range for chain length {L}")
 
 
 def check_rewiring(L: int, W: int, p: float, c: int) -> None:
@@ -332,8 +337,8 @@ def average_load(alpha_tr: float, alpha: float, tau: int, L: int) -> float:
     rest at alpha, the average load is
     1 / ((tau/L)/alpha_tr + (1 - tau/L)/alpha).
     """
-    if alpha_tr <= 0.0 or alpha <= 0.0:
-        raise ValueError(f"loads must be positive, got alpha_tr={alpha_tr}, alpha={alpha}")
+    check_positive("alpha_tr", alpha_tr)
+    check_positive("alpha", alpha)
     if L < 1:
         raise ValueError(f"chain length must be positive, got L={L}")
     if not 0 <= tau <= L:
@@ -390,12 +395,6 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         raise GraphParseError(f"unsupported graph version: {version!r}")
     L = _require_int(doc, "L")
     W = _require_int(doc, "W")
-    if L < 1 or W < 1:
-        raise GraphParseError(f"invalid dimensions L={L}, W={W}")
-    # As in make_regular.  With L capped below, this bounds 2W+1, and so
-    # every multiplicity and column sum, far inside int64.
-    if L < 2 * W + 2:
-        raise GraphParseError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
 
     prov_doc = doc["provenance"]
     provenance = None
@@ -423,8 +422,10 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         raise GraphParseError(
             f"L={L} variable nodes need at least {L} edges, got {len(edges)}"
         )
+    # The band rule caps L, and so bounds 2W+1, every multiplicity and
+    # every column sum far inside int64.
     try:
-        check_chain_length(L)
+        check_band(L, W)
     except GraphError as exc:
         raise GraphParseError(str(exc)) from exc
     degree = 2 * W + 1
@@ -452,10 +453,9 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         isinstance(t, bool) or not isinstance(t, int) for t in training
     ):
         raise GraphParseError("field 'training' must be a list of integers")
-    if any(not 0 <= t < L for t in training):
-        raise GraphParseError(f"training indices out of range [0, {L}): {training}")
 
     try:
+        check_training(training, L)
         graph = CouplingGraph(L=L, W=W, mult=mult, provenance=provenance)
         assignment = TrainingAssignment(
             training_set=tuple(training), tau=len(training)

@@ -24,7 +24,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import NDArray
 
-from .coupling import BaseMatrix, TrainingAssignment
+from .coupling import BaseMatrix, TrainingAssignment, check_positive, check_training
 
 __all__ = [
     "MMSE_CUTOFF",
@@ -74,7 +74,12 @@ def _hermgauss(n_nodes: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 def sigma2_from_db(snr_db: float) -> float:
     """Noise variance from the SNR convention snr_db = 10 log10(1 / sigma2)."""
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    check_positive(f"noise variance at snr_db={snr_db}", sigma2)
+    return sigma2
 
 
 def _piecewise_table(func, lo, width, degree: int) -> NDArray[np.float64]:
@@ -190,11 +195,17 @@ def _qfunc_block(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return q
 
 
+def _nonnegative(x, name: str) -> NDArray[np.float64]:
+    """``x`` as a float64 array; rejects negative and NaN elements, since min() propagates NaN."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and not arr.min() >= 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    return arr
+
+
 def ber_of(sir):
     """Bit error rate Q(sqrt(sir)) of a +-1 symbol at signal-to-interference ratio sir."""
-    arr = np.asarray(sir, dtype=np.float64)
-    if (arr < 0.0).any():
-        raise ValueError("signal-to-interference ratio must be nonnegative")
+    arr = _nonnegative(sir, "signal-to-interference ratio")
     return qfunc(np.sqrt(arr)) if np.ndim(sir) else qfunc(math.sqrt(float(arr)))
 
 
@@ -209,9 +220,7 @@ def _mmse_quadrature(x, n_nodes: int = 60):
     """
     if n_nodes < 60:
         raise ValueError(f"need at least 60 quadrature nodes, got {n_nodes}")
-    arr = np.asarray(x, dtype=np.float64)
-    if (arr < 0.0).any() or np.isnan(arr).any():
-        raise ValueError("snr must be nonnegative")
+    arr = _nonnegative(x, "snr")
     flat = np.atleast_1d(arr)
     out = np.zeros(flat.shape, dtype=np.float64)
 
@@ -290,10 +299,7 @@ def mmse_bpsk(x):
     the true value is below 1e-10.  Accepts scalars or arrays; an array
     element and the same value passed as a scalar give identical results.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    # min() propagates NaN, so one comparison rejects negative and NaN input.
-    if arr.size and not arr.min() >= 0.0:
-        raise ValueError("snr must be nonnegative")
+    arr = _nonnegative(x, "snr")
     piece = _MMSE_PIECES.take(_MMSE_UPPER.searchsorted(arr), axis=1)
     # Clipping keeps t finite (0 on the zero column) for x = inf.
     y = _horner(piece, np.minimum(arr, MMSE_CUTOFF))
@@ -315,20 +321,14 @@ class SystemScenario:
     training_set: TrainingAssignment
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"noise variance must be positive, got {self.sigma2}")
-        if self.alpha_tr <= 0.0 or self.alpha <= 0.0:
-            raise ValueError(
-                f"loads must be positive, got alpha_tr={self.alpha_tr}, alpha={self.alpha}"
-            )
+        check_positive("sigma2", self.sigma2)
+        check_positive("alpha_tr", self.alpha_tr)
+        check_positive("alpha", self.alpha)
 
     def row_loads(self, L: int) -> NDArray[np.float64]:
         """Per-factor-node loads: alpha_tr on training periods, alpha elsewhere."""
         members = self.training_set.training_set
-        if members and members[-1] >= L:
-            raise ValueError(
-                f"training index {members[-1]} out of range for chain length {L}"
-            )
+        check_training(members, L)
         loads = np.full(L, self.alpha, dtype=np.float64)
         if members:
             loads[list(members)] = self.alpha_tr
@@ -393,11 +393,10 @@ def de_step(
 
 
 def check_de_budget(max_iter: int, tol: float) -> None:
-    """Reject an iteration budget or a sir tolerance that is not positive."""
+    """Reject an iteration budget below 1 or a sir tolerance that is not positive and finite."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_positive("tol", tol)
 
 
 def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None):

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .coupling import BaseMatrix, TrainingAssignment, average_load
+from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
     SystemScenario,
     _lockstep,
@@ -51,9 +51,9 @@ __all__ = [
 # plateaus; 2e-3 keeps roughly a 2x margin below and a 40x margin above.
 DEFAULT_SUCCESS_BER = 2e-3
 
-# Optimal-detection load limit at 10 dB.  Coupled BP thresholds approach
-# it from below as L and W grow; reference value only, nothing here
-# computes it.
+# Optimal-detection load limit at 10 dB: the long-chain limit of coupled BP
+# thresholds, which nothing here computes.  A short trained circular chain can
+# exceed it (regular (64, 2): 1.989044): its training seeds a wave with a short gap to cross.
 ALPHA_MAP_10DB = 1.98267
 
 # Levels of the bisection tree below the current probe that run alongside
@@ -92,15 +92,17 @@ class ThresholdQuery:
     sir_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        # The scenario checks sigma2, alpha_tr and alpha_lo; the bracket
-        # order below then makes alpha_hi positive too.
-        self.scenario(self.alpha_lo)
+        check_positive("alpha_lo", self.alpha_lo)
+        check_positive("alpha_hi", self.alpha_hi)
+        check_positive("alpha_tol", self.alpha_tol)
+        self.scenario(self.alpha_lo)  # checks sigma2 and alpha_tr
         if self.alpha_lo >= self.alpha_hi:
             raise BracketError(
                 f"inverted bracket: alpha_lo={self.alpha_lo} must be below alpha_hi={self.alpha_hi}"
             )
-        if self.alpha_tol <= 0.0:
-            raise ValueError(f"bracket tolerance must be positive, got {self.alpha_tol}")
+        # Below two float spacings a midpoint can equal a bracket end and bisection never ends.
+        if self.alpha_tol < 2.0 * math.ulp(self.alpha_hi):
+            raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
         if not 0.0 < self.success_ber < 1.0:
             raise ValueError(f"success level must be a probability, got {self.success_ber}")
         single_user = qfunc(math.sqrt(1.0 / self.sigma2))
@@ -169,8 +171,6 @@ def _evaluate(query: ThresholdQuery, alpha: float) -> DeEvaluation:
 
 def de_success(alpha: float, query: ThresholdQuery) -> bool:
     """Whether density evolution at this load converges with all BERs at or below the success level."""
-    if alpha <= 0.0:
-        raise ValueError(f"load must be positive, got {alpha}")
     return _evaluate(query, alpha).success
 
 
@@ -305,8 +305,8 @@ def scalar_fixed_points(alpha: float, sigma2: float, grid_size: int = 4096) -> l
     bisection to 1e-10.  Returns the roots in ascending order; there is
     always at least one because f(0) = -1 and f(1/sigma2) > 0.
     """
-    if alpha <= 0.0 or sigma2 <= 0.0:
-        raise ValueError(f"parameters must be positive, got alpha={alpha}, sigma2={sigma2}")
+    check_positive("alpha", alpha)
+    check_positive("sigma2", sigma2)
     if grid_size < 100:
         raise ValueError(f"grid must have at least 100 cells, got {grid_size}")
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sccdma import (
     TrainingAssignment,
@@ -23,12 +28,21 @@ from sccdma.cli import main
 REG_TRAINING = "61,62,63,0,1,2,3,29,30,31,32,33,34,35"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "sccdma.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def run_main(argv):
+    """``main`` in-process on string arguments; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_generate_writes_parsable_graph(tmp_path):
@@ -190,6 +204,98 @@ def test_threshold_inverted_bracket_exits_2():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha-hi", "inf"), ("--alpha-tol", "1e-300")])
+def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
+    # An infinite end, or a width below the float spacing, would keep
+    # bisection from ever reaching alpha_tol.
+    proc = run_cli("threshold", "--uncoupled", "--snr-db", 10, flag, value, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert flag[2:].replace("-", "_") in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("threshold", "--uncoupled", "--snr-db", 10, "--alpha-tol", "nan"), "alpha_tol"),
+        (("threshold", "--uncoupled", "--snr-db", "nan"), "snr_db=nan"),
+        (("threshold", "--uncoupled", "--snr-db=-4000"), "snr_db=-4000"),
+        (("threshold", "--uncoupled", "--snr-db", 10, "--training-set", "5,7"), "--training-set"),
+        (("threshold", "--uncoupled", "--snr-db", 10, "--training-set", "0"), "--training-set"),
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", "nan"), "alpha must"),
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--tol", "inf"), "tol must"),
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--training-set", 8), "chain length 8"),
+        (("avgload", "--alpha-tr", "nan", "--alpha", 1.9, "--tau", 14, "--L", 64), "alpha_tr"),
+    ],
+)
+def test_bad_flag_exits_2_with_one_line_naming_it(tmp_path, argv, named):
+    if argv[0] == "de":
+        graph = tmp_path / "g.json"
+        graph.write_text(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
+        argv = (
+            "de", "--graph", graph, *argv[1:],
+            "--out-trajectory", tmp_path / "t.csv", "--out-summary", tmp_path / "s.csv",
+        )
+    code, out, err = run_main(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+
+
+def _real(lo, hi):
+    """Any float: NaN, infinities, zeros, negatives, a subnormal and 1e300 favoured, and [lo, hi]."""
+    return st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e300]),
+        st.floats(),
+        st.floats(lo, hi),
+    )
+
+
+def _assert_exit_0_finite_or_2(argv, overrides):
+    # Each override repeats a flag of argv, and the last one given wins.
+    argv = [*argv, *(f"{flag}={value!r}" for flag, value in overrides.items())]
+    code, out, err = run_main(argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    else:
+        fields = out.splitlines()[-1].split(",")
+        assert all(math.isfinite(float(field)) for field in fields), (argv, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "--snr-db": _real(8.0, 20.0),
+            "--alpha-lo": _real(0.5, 1.7),
+            "--alpha-hi": _real(1.8, 3.0),
+            # Accepted tolerances stay at 1e-2 and above to keep each example
+            # short; fine ones are the bisection tests' job.
+            "--alpha-tol": st.one_of(
+                st.sampled_from([math.nan, math.inf]),
+                st.floats(max_value=1e-15),
+                st.floats(min_value=1e-2),
+            ),
+            "--tol": _real(1e-12, 1e-4),
+        },
+    )
+)
+def test_threshold_real_flags_fuzz(overrides):
+    _assert_exit_0_finite_or_2(
+        ["threshold", "--uncoupled", "--max-iter", 60, "--snr-db", 10, "--alpha-tol", 0.01],
+        overrides,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({}, optional={"--alpha-tr": _real(0.5, 3.0), "--alpha": _real(0.5, 3.0)}))
+def test_avgload_real_flags_fuzz(overrides):
+    _assert_exit_0_finite_or_2(
+        ["avgload", "--alpha-tr", 1.45, "--alpha", 1.9, "--tau", 14, "--L", 64], overrides
+    )
 
 
 def test_de_rejects_huge_graph_with_exit_2(tmp_path):

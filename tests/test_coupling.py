@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sccdma import (
+    BaseMatrix,
     CouplingGraph,
     GraphError,
     GraphParseError,
@@ -40,6 +41,9 @@ def test_make_regular_total_multiplicity():
 def test_make_regular_band_too_wide():
     with pytest.raises(GraphError):
         make_regular(5, 2)
+    # A graph built directly obeys the same band rule.
+    with pytest.raises(GraphError, match="2W\\+2"):
+        CouplingGraph(L=3, W=1, mult=np.ones((3, 3), dtype=np.int64))
 
 
 def test_make_regular_column_sums():
@@ -197,6 +201,12 @@ def test_to_base_matrix_values():
     assert np.all(np.abs(B2.bsq.sum(axis=0) - 1.0) <= 1e-12)
 
 
+def test_base_matrix_rejects_weights_outside_unit_interval():
+    for bad in (-0.5, 1.5, np.nan):
+        with pytest.raises(GraphError, match="squared weights"):
+            BaseMatrix(L=2, bsq=np.array([[bad, 0.0], [1.0 - bad, 1.0]]))
+
+
 def test_average_load_reference_points():
     assert abs(average_load(1.45, 1.98958, 14, 64) - 1.83981) <= 1e-4
     assert abs(average_load(1.45, 1.99911, 14, 64) - 1.84617) <= 1e-4
@@ -212,6 +222,9 @@ def test_average_load_rejects_nonpositive():
         average_load(0.0, 1.9, 14, 64)
     with pytest.raises(ValueError):
         average_load(1.45, -1.0, 14, 64)
+    for bad in (float("nan"), float("inf"), 5e-324):
+        with pytest.raises(ValueError, match="alpha_tr must be positive and finite"):
+            average_load(bad, 1.9, 14, 64)
 
 
 def test_serialize_round_trip_with_provenance():

@@ -113,8 +113,9 @@ def test_ber_of_examples():
     grid = np.linspace(0.0, 20.0, 101)
     vals = ber_of(grid)
     assert np.all(np.diff(vals) <= 0)
-    with pytest.raises(ValueError):
-        ber_of(-0.5)
+    for bad in (-0.5, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            ber_of(bad)
 
 
 def test_mmse_bpsk_endpoints():

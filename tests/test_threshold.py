@@ -73,11 +73,20 @@ def test_query_rejects_nonpositive_parameters():
         dict(alpha_lo=0.0),
         dict(alpha_lo=-1.0, alpha_hi=-0.5),
         dict(alpha_hi=0.0),
+        dict(sigma2=float("nan")),
+        dict(sigma2=1e-320),
+        dict(alpha_tr=float("inf")),
+        dict(alpha_lo=float("nan")),
+        dict(alpha_hi=float("inf")),
     ):
         with pytest.raises(ValueError):
             _uncoupled_query(**bad)
-    with pytest.raises(ValueError):
-        _uncoupled_query(alpha_tol=0.0)
+    # Below two float spacings at alpha_hi, bisection could stop shrinking.
+    for tol in (0.0, float("nan"), float("inf"), 1e-300, 4e-16):
+        with pytest.raises(ValueError, match="alpha_tol"):
+            _uncoupled_query(alpha_tol=tol)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        de_success(float("nan"), _uncoupled_query())
     with pytest.raises(ValueError):
         _uncoupled_query(success_ber=1.5)
 
@@ -170,6 +179,9 @@ def test_scalar_fixed_points_high_noise_proxy():
 def test_scalar_fixed_points_grid_validation():
     with pytest.raises(ValueError):
         scalar_fixed_points(1.0, 0.1, grid_size=99)
+    for alpha, sigma2 in ((float("nan"), 0.1), (1.0, float("inf")), (0.0, 0.1)):
+        with pytest.raises(ValueError):
+            scalar_fixed_points(alpha, sigma2)
 
 
 def test_bisection_agrees_with_uniqueness_boundary():
