@@ -3,110 +3,21 @@
 Builds regular and small-world coupling graphs, predicts per-position
 BER through the coupled density-evolution recursion, estimates BP
 thresholds by bisection, and searches ensembles for instances that
-converge in few iterations.
+converge in few iterations.  Re-exports each module's ``__all__``.
 """
 
-from .coupling import (
-    BaseMatrix,
-    CouplingGraph,
-    GraphError,
-    GraphParseError,
-    MAX_CHAIN_LENGTH,
-    Provenance,
-    TrainingAssignment,
-    assign_training,
-    average_load,
-    cluster_of,
-    make_regular,
-    parse_graph,
-    serialize_graph,
-    sw_rewire,
-    to_base_matrix,
-)
-from .density_evolution import (
-    MMSE_CUTOFF,
-    DeTrajectory,
-    SystemScenario,
-    ber_of,
-    de_step,
-    mmse_bpsk,
-    qfunc,
-    run_de,
-    sigma2_from_db,
-    write_summary_csv,
-    write_trajectory_csv,
-)
-from .search import (
-    EnsembleSpec,
-    InstanceScore,
-    SearchReport,
-    ensemble_search,
-    instance_seed,
-    sample_instance,
-    score_instance,
-    write_search_csv,
-)
-from .threshold import (
-    ALPHA_MAP_10DB,
-    DEFAULT_SUCCESS_BER,
-    BracketError,
-    DeEvaluation,
-    ThresholdQuery,
-    ThresholdResult,
-    bp_threshold,
-    de_success,
-    scalar_fixed_points,
-    write_evaluation_log_csv,
-    write_threshold_csv,
-)
+from . import coupling, density_evolution, search, threshold
+from .coupling import *
+from .density_evolution import *
+from .search import *
+from .threshold import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_MAP_10DB",
-    "BaseMatrix",
-    "CouplingGraph",
-    "GraphError",
-    "GraphParseError",
-    "MAX_CHAIN_LENGTH",
-    "Provenance",
-    "TrainingAssignment",
-    "assign_training",
-    "average_load",
-    "cluster_of",
-    "make_regular",
-    "parse_graph",
-    "serialize_graph",
-    "sw_rewire",
-    "to_base_matrix",
-    "MMSE_CUTOFF",
-    "DeTrajectory",
-    "SystemScenario",
-    "ber_of",
-    "de_step",
-    "mmse_bpsk",
-    "qfunc",
-    "run_de",
-    "sigma2_from_db",
-    "write_summary_csv",
-    "write_trajectory_csv",
-    "EnsembleSpec",
-    "InstanceScore",
-    "SearchReport",
-    "ensemble_search",
-    "instance_seed",
-    "sample_instance",
-    "score_instance",
-    "write_search_csv",
-    "DEFAULT_SUCCESS_BER",
-    "BracketError",
-    "DeEvaluation",
-    "ThresholdQuery",
-    "ThresholdResult",
-    "bp_threshold",
-    "de_success",
-    "scalar_fixed_points",
-    "write_evaluation_log_csv",
-    "write_threshold_csv",
+    *coupling.__all__,
+    *density_evolution.__all__,
+    *search.__all__,
+    *threshold.__all__,
     "__version__",
 ]

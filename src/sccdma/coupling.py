@@ -61,10 +61,7 @@ class Provenance:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"rewiring probability must lie in [0, 1], got {self.p}")
-        if self.c < 1:
-            raise ValueError(f"cluster count must be positive, got {self.c}")
+        _check_p_and_c(self.p, self.c)
         check_seed(self.seed)
 
 
@@ -191,12 +188,17 @@ def check_training(members, L: int) -> None:
         raise ValueError(f"training indices {bad} out of range for chain length {L}")
 
 
-def check_rewiring(L: int, W: int, p: float, c: int) -> None:
-    """Reject rewiring parameters that :func:`sw_rewire` cannot apply to a regular (L, W) band."""
+def _check_p_and_c(p: float, c: int) -> None:
+    """Reject a rewiring probability outside [0, 1] or a cluster count below 1."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
     if c < 1:
         raise GraphError(f"cluster count must be positive, got {c}")
+
+
+def check_rewiring(L: int, W: int, p: float, c: int) -> None:
+    """Reject rewiring parameters that :func:`sw_rewire` cannot apply to a regular (L, W) band."""
+    _check_p_and_c(p, c)
     if p > 0.0 and c < 2:
         raise GraphError("rewiring needs at least two clusters when p > 0")
     if L % c != 0:

@@ -17,14 +17,14 @@ converges to the smallest fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .coupling import BaseMatrix, TrainingAssignment, check_positive, check_training
+from .coupling import MAX_CHAIN_LENGTH, BaseMatrix, TrainingAssignment, check_positive, check_training
 
 __all__ = [
     "MMSE_CUTOFF",
@@ -204,9 +204,11 @@ def _nonnegative(x, name: str) -> NDArray[np.float64]:
 
 
 def ber_of(sir):
-    """Bit error rate Q(sqrt(sir)) of a +-1 symbol at signal-to-interference ratio sir."""
-    arr = _nonnegative(sir, "signal-to-interference ratio")
-    return qfunc(np.sqrt(arr)) if np.ndim(sir) else qfunc(math.sqrt(float(arr)))
+    """Bit error rate Q(sqrt(sir)) of a +-1 symbol at signal-to-interference ratio sir.
+
+    The one map from sir to BER.  Accepts scalars or arrays, like :func:`qfunc`.
+    """
+    return qfunc(np.sqrt(_nonnegative(sir, "signal-to-interference ratio")))
 
 
 def _mmse_quadrature(x, n_nodes: int = 60):
@@ -324,6 +326,12 @@ class SystemScenario:
         check_positive("sigma2", self.sigma2)
         check_positive("alpha_tr", self.alpha_tr)
         check_positive("alpha", self.alpha)
+        # A row of bsq sums to at most L and mmse is at most 1, so this
+        # bounds every noise level de_step can compute.
+        check_positive(
+            f"noise bound sigma2 + max(alpha_tr, alpha) * {MAX_CHAIN_LENGTH}",
+            self.sigma2 + max(self.alpha_tr, self.alpha) * MAX_CHAIN_LENGTH,
+        )
 
     def row_loads(self, L: int) -> NDArray[np.float64]:
         """Per-factor-node loads: alpha_tr on training periods, alpha elsewhere."""
@@ -337,34 +345,35 @@ class SystemScenario:
 
 @dataclass(frozen=True, eq=False)
 class DeTrajectory:
-    """Per-iteration record of a density-evolution run.
+    """Per-iteration record of a density-evolution run, derived from its sir table.
 
-    Row i of ``sir`` and ``ber`` is the state after i iterations (row 0
-    is the all-zero start, where every BER is 0.5).  Summaries hold the
-    average and minimum BER and the argmin position per iteration.
+    Row i of ``sir`` is the state after i iterations (row 0 is the
+    all-zero start, where every BER is 0.5).  The BER table, its average
+    and minimum per iteration, the argmin position and the iteration
+    count are computed from ``sir`` once, when the record is built.
     """
 
     sir: NDArray[np.float64]
-    ber: NDArray[np.float64]
-    avg_ber: NDArray[np.float64]
-    min_ber: NDArray[np.float64]
-    argmin_position: NDArray[np.int64]
     converged: bool
-    iterations_run: int
+    ber: NDArray[np.float64] = field(init=False)
+    avg_ber: NDArray[np.float64] = field(init=False)
+    min_ber: NDArray[np.float64] = field(init=False)
+    argmin_position: NDArray[np.int64] = field(init=False)
+    iterations_run: int = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.sir.shape[0]
-        if self.ber.shape != self.sir.shape:
-            raise ValueError("sir and ber tables must have equal shapes")
-        if not (self.avg_ber.shape == self.min_ber.shape == self.argmin_position.shape == (n,)):
-            raise ValueError("summary arrays must have one entry per iteration")
-        if self.iterations_run != n - 1:
-            raise ValueError(
-                f"iterations_run={self.iterations_run} does not match {n} recorded states"
-            )
-        for name in ("sir", "ber", "avg_ber", "min_ber", "argmin_position"):
-            arr = getattr(self, name)
+        ber = ber_of(self.sir)
+        tables = {
+            "sir": self.sir,
+            "ber": ber,
+            "avg_ber": ber.mean(axis=1),
+            "min_ber": ber.min(axis=1),
+            "argmin_position": ber.argmin(axis=1).astype(np.int64),
+        }
+        for name, arr in tables.items():
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "iterations_run", self.sir.shape[0] - 1)
 
 
 def de_step(
@@ -383,13 +392,10 @@ def de_step(
     that share ``bsq``; row i of the results then equals, bit for bit,
     the update of row i alone.
     """
-    if sir.ndim == 1:
-        sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir))
-        return bsq.T @ (1.0 / sigma2_rows), sigma2_rows
-    # Broadcast matvecs run the same per-row product as the 1-D form;
-    # ``m @ bsq.T`` would be one matrix product with a different rounding.
-    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir)[:, :, None])[:, :, 0]
-    return (bsq.T @ (1.0 / sigma2_rows)[:, :, None])[:, :, 0], sigma2_rows
+    # One matvec per state, for a state and a stack alike; ``m @ bsq.T``
+    # would be one matrix product with a different rounding.
+    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir)[..., None])[..., 0]
+    return (bsq.T @ (1.0 / sigma2_rows)[..., None])[..., 0], sigma2_rows
 
 
 def check_de_budget(max_iter: int, tol: float) -> None:
@@ -444,17 +450,7 @@ def run_de(
     _, _, converged, _ = _lockstep(
         rows[0], 0, B.bsq, scen.sigma2, scen.row_loads(B.L), max_iter, tol, rows.append
     )
-    table = np.vstack(rows)
-    ber = qfunc(np.sqrt(table))
-    return DeTrajectory(
-        sir=table,
-        ber=ber,
-        avg_ber=ber.mean(axis=1),
-        min_ber=ber.min(axis=1),
-        argmin_position=ber.argmin(axis=1).astype(np.int64),
-        converged=bool(converged),
-        iterations_run=table.shape[0] - 1,
-    )
+    return DeTrajectory(sir=np.vstack(rows), converged=bool(converged))
 
 
 # The CSV number format: 17 significant digits, enough to round-trip.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import IO
 
 import numpy as np
@@ -177,16 +178,17 @@ def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
     return (iters, score.final_max_ber, score.instance_seed or 0)
 
 
-def _score_index(args) -> tuple[int, InstanceScore | None, str | None]:
-    spec, scen, target_ber, max_iter, sir_tol, index = args
+def _score_index(
+    spec, scen, target_ber, max_iter, sir_tol, index
+) -> tuple[InstanceScore | None, str | None]:
     try:
         g, assignment = sample_instance(spec, index)
         score = score_instance(
             g, assignment, scen, target_ber, max_iter, sir_tol, index=index
         )
-        return index, score, None
+        return score, None
     except Exception as exc:  # recorded per instance, search continues
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def ensemble_search(
@@ -233,22 +235,20 @@ def ensemble_search(
             max_iter=threshold_max_iter,
             sir_tol=sir_tol,
         )
-    jobs = [
-        (spec, scen, target_ber, max_iter, sir_tol, index)
-        for index in range(spec.n_samples)
-    ]
+    score_at = partial(_score_index, spec, scen, target_ber, max_iter, sir_tol)
+    indices = range(spec.n_samples)
+    # Both maps return the outcomes in index order.
     if workers == 1:
-        outcomes = [_score_index(job) for job in jobs]
+        outcomes = list(map(score_at, indices))
     else:
         # Imported here: it loads multiprocessing, which every CLI call would pay for.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_score_index, jobs, chunksize=8))
+            outcomes = list(pool.map(score_at, indices, chunksize=8))
 
-    outcomes.sort(key=lambda item: item[0])
-    scores = [score for _, score, _ in outcomes if score is not None]
-    failures = [(index, err) for index, _, err in outcomes if err is not None]
+    scores = [score for score, _ in outcomes if score is not None]
+    failures = [(index, err) for index, (_, err) in enumerate(outcomes) if err is not None]
     if not scores:
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)

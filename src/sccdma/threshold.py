@@ -22,10 +22,10 @@ from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positi
 from .density_evolution import (
     SystemScenario,
     _lockstep,
+    ber_of,
     check_de_budget,
     format_float,
     mmse_bpsk,
-    qfunc,
     run_de,
 )
 
@@ -95,7 +95,7 @@ class ThresholdQuery:
         check_positive("alpha_lo", self.alpha_lo)
         check_positive("alpha_hi", self.alpha_hi)
         check_positive("alpha_tol", self.alpha_tol)
-        self.scenario(self.alpha_lo)  # checks sigma2 and alpha_tr
+        self.scenario(self.alpha_hi)  # checks sigma2, alpha_tr and the noise bound
         if self.alpha_lo >= self.alpha_hi:
             raise BracketError(
                 f"inverted bracket: alpha_lo={self.alpha_lo} must be below alpha_hi={self.alpha_hi}"
@@ -105,7 +105,7 @@ class ThresholdQuery:
             raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
         if not 0.0 < self.success_ber < 1.0:
             raise ValueError(f"success level must be a probability, got {self.success_ber}")
-        single_user = qfunc(math.sqrt(1.0 / self.sigma2))
+        single_user = ber_of(1.0 / self.sigma2)
         if single_user >= self.success_ber:
             raise ValueError(
                 f"success level {self.success_ber} is unreachable: the single-user "
@@ -251,7 +251,7 @@ def _bisect(
         sir, steps, converged, done = _lockstep(
             sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol
         )
-        max_bers = qfunc(np.sqrt(sir[done])).max(axis=1)
+        max_bers = ber_of(sir[done]).max(axis=1)
         for i, max_ber in zip(np.flatnonzero(done).tolist(), max_bers.tolist()):
             a, b = keys[i]
             decided[keys[i]] = _evaluation(

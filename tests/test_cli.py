@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -432,3 +433,58 @@ def test_avgload_matches_library():
     value = float(proc.stdout.strip())
     assert value == average_load(1.45, 1.98958, 14, 64)
     assert abs(value - 1.83981) <= 1e-3
+
+
+def test_de_noise_level_that_overflows_exits_2(tmp_path, recwarn):
+    # sigma2 = 1e308 plus a load of 1e308 would overflow inside de_step.
+    graph = tmp_path / "g.json"
+    graph.write_text(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
+    code, out, err = run_main([
+        "de", "--graph", graph, "--snr-db", -3080, "--alpha-tr", 1.45, "--alpha", 1e308,
+        "--out-trajectory", tmp_path / "t.csv", "--out-summary", tmp_path / "s.csv",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "noise bound" in err, err
+    assert len(recwarn) == 0
+    assert not (tmp_path / "t.csv").exists()
+
+
+# sha256 of each output file, recorded with numpy 2.4 and OpenBLAS 0.3.31 on
+# x86-64 (another platform's exp or matvec may round differently).  Any moved
+# byte, even in a 17th digit, shows here; a change that moves one on purpose
+# records the new digests and says so in CHANGES.md.
+FROZEN_DIGESTS = {
+    "graph.json": "cce41844fb71967c9d68e63acfb948014cfc097d3f4537a3a77de74e37b5e2fa",
+    "trajectory.csv": "90dfbc75f35c89aa1e30c9e9e784f3e5a0f7b4243e7b88f232b84d2818646ec0",
+    "summary.csv": "d0b3aefe34a7fb31e9a5995d13c8aa3845679e65833579a252adc9ac11d379e3",
+    "threshold_report.csv": "4ab01061760a76ca50b6ab323c71ff0b8de7ddf78b2dbcd6ed97a1e64ec58c04",
+    "threshold_log.csv": "c9d2755d27e8b40c62a7c88cc4f6a9c49c74a761acafc0fe9fbc33f97a2ed083",
+    "search_report.csv": "7a83eb73be1e2cac72feaaf5b3c3668efa044711224b2b29bef1183acde1fcea",
+    "search_best.json": "b002105a6293fb2136e3903c3976d7e62d87637c04145662b0d8de3aaa52dde4",
+}
+
+
+def _write_frozen_outputs(work):
+    """Run each subcommand on small inputs, writing the files of FROZEN_DIGESTS under ``work``."""
+    argvs = [
+        ("generate", "--L", 32, "--W", 2, "--p", 0.2, "--c", 2, "--tau", 6,
+         "--seed", 5, "--out", work / "graph.json"),
+        ("de", "--graph", work / "graph.json", "--snr-db", 10, "--alpha-tr", 1.45,
+         "--alpha", 1.8, "--out-trajectory", work / "trajectory.csv",
+         "--out-summary", work / "summary.csv"),
+        ("threshold", "--uncoupled", "--snr-db", 10,
+         "--out-report", work / "threshold_report.csv", "--out-log", work / "threshold_log.csv"),
+        (*_search_args(work / "search_report.csv"), "--out-best", work / "search_best.json"),
+    ]
+    for argv in argvs:
+        code, _, err = run_main(argv)
+        assert code == 0, (argv, err)
+
+
+def test_outputs_match_frozen_digests(tmp_path):
+    _write_frozen_outputs(tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FROZEN_DIGESTS
+    }
+    assert digests == FROZEN_DIGESTS

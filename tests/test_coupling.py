@@ -144,6 +144,16 @@ def test_sw_rewire_parameter_validation():
         sw_rewire(make_regular(16, 2), 0.1, 2, 4, 0)  # L/c = 8 = 4W overlaps
 
 
+def test_provenance_checks_the_rewiring_rules_of_sw_rewire():
+    g = make_regular(64, 2)
+    for p, c, kind in ((1.5, 2, ValueError), (float("nan"), 2, ValueError), (0.1, 0, GraphError)):
+        with pytest.raises(kind) as from_rewire:
+            sw_rewire(g, p, c, 14, 0)
+        with pytest.raises(kind) as from_provenance:
+            Provenance(p=p, c=c, seed=0)
+        assert str(from_provenance.value) == str(from_rewire.value)
+
+
 def test_assign_training_unique_maximum():
     g = make_regular(64, 2)
     mult = g.mult.copy()

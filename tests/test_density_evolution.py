@@ -11,6 +11,7 @@ from scipy.special import erfc
 from sccdma import (
     MMSE_CUTOFF,
     BaseMatrix,
+    DeTrajectory,
     SystemScenario,
     TrainingAssignment,
     ber_of,
@@ -113,6 +114,8 @@ def test_ber_of_examples():
     grid = np.linspace(0.0, 20.0, 101)
     vals = ber_of(grid)
     assert np.all(np.diff(vals) <= 0)
+    xs = np.array([0.0, 5e-324, 0.3, 2.0, 10.0, 1e3, np.inf])
+    assert [ber_of(float(x)) for x in xs] == ber_of(xs).tolist()
     for bad in (-0.5, np.nan, np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             ber_of(bad)
@@ -420,6 +423,31 @@ def test_trajectory_ber_consistency():
     assert np.max(np.abs(traj.ber - ber_of(traj.sir))) <= 1e-14
     assert np.allclose(traj.avg_ber, traj.ber.mean(axis=1), atol=1e-15)
     assert np.allclose(traj.min_ber, traj.ber.min(axis=1), atol=1e-15)
+
+
+def test_trajectory_derives_its_tables_from_sir():
+    sir = np.array([[0.0, 0.0], [1.0, 4.0], [9.0, 2.0]])
+    traj = DeTrajectory(sir=sir, converged=False)
+    assert np.array_equal(traj.ber, ber_of(sir))
+    assert np.array_equal(traj.avg_ber, traj.ber.mean(axis=1))
+    assert np.array_equal(traj.min_ber, traj.ber.min(axis=1))
+    assert traj.argmin_position.tolist() == [0, 1, 0]
+    assert traj.iterations_run == 2
+    for name in ("sir", "ber", "avg_ber", "min_ber", "argmin_position"):
+        assert not getattr(traj, name).flags.writeable, name
+    with pytest.raises(TypeError):
+        DeTrajectory(sir=sir, converged=False, iterations_run=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        DeTrajectory(sir=-sir, converged=False)
+
+
+def test_scenario_rejects_loads_whose_noise_level_overflows():
+    # A bsq row sums to at most L <= MAX_CHAIN_LENGTH, so de_step's noise
+    # level stays below sigma2 + max(alpha_tr, alpha) * MAX_CHAIN_LENGTH.
+    _scenario(1e300, sigma2=1e300, alpha_tr=1e300)
+    for bad in (dict(alpha=1e308, sigma2=1e308), dict(alpha=1.9, alpha_tr=1e306), dict(alpha=1e306)):
+        with pytest.raises(ValueError, match="noise bound"):
+            _scenario(**bad)
 
 
 def test_trajectory_permutation_equivariance():

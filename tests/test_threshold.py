@@ -91,6 +91,12 @@ def test_query_rejects_nonpositive_parameters():
         _uncoupled_query(success_ber=1.5)
 
 
+def test_query_checks_the_noise_bound_at_alpha_hi():
+    # Every probe's load lies below alpha_hi, so one check there covers them all.
+    with pytest.raises(ValueError, match="noise bound"):
+        _uncoupled_query(alpha_hi=1e306)
+
+
 def test_de_success_bracket_examples():
     q = _uncoupled_query()
     assert de_success(1.6, q) is True
