@@ -17,7 +17,6 @@ from .coupling import (
     TrainingAssignment,
     average_load,
     check_training,
-    make_regular,
     parse_graph,
     serialize_graph,
     sw_rewire,
@@ -74,9 +73,7 @@ def cmd_generate(args) -> int:
         tau = len(_parse_training_flag(args.training_set))
     else:
         tau = args.tau
-    graph, assignment = sw_rewire(
-        make_regular(args.L, args.W), args.p, args.c, tau, args.seed
-    )
+    graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, tau, args.seed)
     if args.training_set is not None:
         assignment = _training_override(args.training_set, args.L)
     _write_text(args.out, serialize_graph(graph, assignment))
@@ -270,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument(
         "--threshold-max-iter", type=int, default=10000, help="iteration budget inside bisection"
     )
-    sea.add_argument("--workers", type=int, default=1, help="parallel scoring processes")
+    sea.add_argument(
+        "--workers", type=int, default=1, help="scoring processes, at most one per sample and CPU"
+    )
     sea.add_argument("--out-report", required=True, help="ranked report CSV path")
     sea.add_argument("--out-best", help="graph file for the best instance")
     sea.set_defaults(func=cmd_search)

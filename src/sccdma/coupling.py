@@ -249,9 +249,9 @@ def cluster_of(center: int, L: int, W: int) -> set[int]:
 
 
 def sw_rewire(
-    g: CouplingGraph, p: float, c: int, tau: int, seed: int
+    L: int, W: int, p: float, c: int, tau: int, seed: int
 ) -> tuple[CouplingGraph, TrainingAssignment]:
-    """Small-world rewiring of a regular graph, plus a training assignment.
+    """Small-world rewiring of the regular (L, W) band, plus a training assignment.
 
     Takes c equally spaced cluster centers 0, L/c, 2L/c, ...  For each
     cluster in turn, every edge currently attached to the cluster's
@@ -265,21 +265,20 @@ def sw_rewire(
     from the same generator afterwards, so a single seed reproduces the
     whole instance.
     """
-    check_rewiring(g.L, g.W, p, c)
-    if not np.array_equal(g.mult, _regular_mult(g.L, g.W)):
-        raise GraphError("rewiring must start from the regular graph")
+    check_band(L, W)
+    check_rewiring(L, W, p, c)
     check_seed(seed)
 
     rng = np.random.default_rng(seed)
-    mult = np.array(g.mult)
-    centers = [i * (g.L // c) for i in range(c)]
+    mult = _regular_mult(L, W)
+    centers = [i * (L // c) for i in range(c)]
     for i in range(c):
         others: set[int] = set()
         for j in range(c):
             if j != i:
-                others |= cluster_of(centers[j], g.L, g.W)
+                others |= cluster_of(centers[j], L, W)
         targets = np.asarray(sorted(others), dtype=np.int64)
-        window = sorted(cluster_of(centers[i], g.L, g.W))
+        window = sorted(cluster_of(centers[i], L, W))
         snapshot = mult[:, window].copy()
         for k, m in enumerate(window):
             column = snapshot[:, k]
@@ -289,9 +288,7 @@ def sw_rewire(
                         mult[l, m] -= 1
                         mult[targets[rng.integers(targets.size)], m] += 1
 
-    rewired = CouplingGraph(
-        L=g.L, W=g.W, mult=mult, provenance=Provenance(p=p, c=c, seed=seed)
-    )
+    rewired = CouplingGraph(L=L, W=W, mult=mult, provenance=Provenance(p=p, c=c, seed=seed))
     return rewired, assign_training(rewired, tau, rng)
 
 

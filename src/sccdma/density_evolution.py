@@ -394,8 +394,8 @@ def de_step(
     """
     # One matvec per state, for a state and a stack alike; ``m @ bsq.T``
     # would be one matrix product with a different rounding.
-    sigma2_rows = sigma2 + loads * (bsq @ mmse_bpsk(sir)[..., None])[..., 0]
-    return (bsq.T @ (1.0 / sigma2_rows)[..., None])[..., 0], sigma2_rows
+    sigma2_rows = sigma2 + loads * np.matvec(bsq, mmse_bpsk(sir))
+    return np.matvec(bsq.mT, 1.0 / sigma2_rows), sigma2_rows
 
 
 def check_de_budget(max_iter: int, tol: float) -> None:

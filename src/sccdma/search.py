@@ -11,6 +11,7 @@ count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import IO
@@ -25,7 +26,6 @@ from .coupling import (
     check_quota,
     check_rewiring,
     check_seed,
-    make_regular,
     sw_rewire,
     to_base_matrix,
 )
@@ -85,8 +85,8 @@ class EnsembleSpec:
     n_samples: int
 
     def __post_init__(self) -> None:
-        # The checks of make_regular, sw_rewire and assign_training, run up
-        # front so a bad spec fails before any sampling starts.
+        # The checks of sw_rewire and assign_training, run up front so a
+        # bad spec fails before any sampling starts.
         check_band(self.L, self.W)
         check_rewiring(self.L, self.W, self.p, self.c)
         check_quota(self.tau, self.L)
@@ -128,9 +128,8 @@ def sample_instance(
     """Instance ``index`` of the ensemble, independent of evaluation order."""
     if not 0 <= index < spec.n_samples:
         raise ValueError(f"index must lie in [0, {spec.n_samples}), got {index}")
-    regular = make_regular(spec.L, spec.W)
     return sw_rewire(
-        regular, spec.p, spec.c, spec.tau, instance_seed(spec.master_seed, index)
+        spec.L, spec.W, spec.p, spec.c, spec.tau, instance_seed(spec.master_seed, index)
     )
 
 
@@ -210,9 +209,10 @@ def ensemble_search(
     Ranking is ascending by iterations to target (unreached last), then
     final maximum BER, then instance seed.  With ``with_thresholds`` the
     top 10 instances also get a BP-threshold bisection over
-    (alpha_lo, alpha_hi).  Instance evaluation may be spread over
-    ``workers`` processes; the report does not depend on the worker
-    count because every instance derives from its own index.
+    (alpha_lo, alpha_hi).  Instance evaluation may be spread over up to
+    ``workers`` processes, no more than the samples or the CPUs this
+    process may use; the report does not depend on the worker count
+    because every instance derives from its own index.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
@@ -237,6 +237,10 @@ def ensemble_search(
         )
     score_at = partial(_score_index, spec, scen, target_ber, max_iter, sir_tol)
     indices = range(spec.n_samples)
+    # The pool starts all its processes at once, so no more than there are
+    # samples or CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, spec.n_samples, cpus or 1)
     # Both maps return the outcomes in index order.
     if workers == 1:
         outcomes = list(map(score_at, indices))

@@ -13,7 +13,7 @@ structure can also be enumerated directly as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -124,24 +124,27 @@ class ThresholdQuery:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection outcome: conservative estimate, final bracket, evaluation log."""
+    """Bisection outcome: final bracket and evaluation log, and what they give.
 
-    alpha_bp: float
+    The conservative estimate ``alpha_bp`` is the bracket's low end, the
+    last load at which the run still succeeded, and ``de_evaluations`` is
+    the log's length; both are derived once, when the record is built.
+    """
+
     bracket: tuple[float, float]
-    de_evaluations: int
     avg_load_at_threshold: float
     success_ber: float
     alpha_tol: float
     log: tuple[DeEvaluation, ...]
+    alpha_bp: float = field(init=False)
+    de_evaluations: int = field(init=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.bracket
-        if not lo <= self.alpha_bp <= hi:
-            raise ValueError(f"estimate {self.alpha_bp} outside bracket {self.bracket}")
         if hi - lo > self.alpha_tol * (1.0 + 1e-12):
             raise ValueError(f"bracket {self.bracket} wider than tolerance {self.alpha_tol}")
-        if self.de_evaluations != len(self.log):
-            raise ValueError("evaluation count does not match the log")
+        object.__setattr__(self, "alpha_bp", lo)
+        object.__setattr__(self, "de_evaluations", len(self.log))
 
 
 def _evaluation(
@@ -208,54 +211,45 @@ def _bisect(
 
     A probe's DE run does not depend on any other probe, so the current
     probe runs in one lockstep stack with every probe of the next
-    ``_SPECULATION_DEPTH`` levels below it.  When the current probe
-    decides, the branch it rules out leaves the stack and the next level
-    joins.  The stack steps through the same loop, and stop rule, as
-    :func:`run_de`, and each row keeps only its last state, so the logged
+    ``_SPECULATION_DEPTH`` levels below it.  ``probes`` maps each of
+    those brackets to its run's state (sir, steps, row loads) or, once
+    it stops, its evaluation; a branch that the current probe rules out
+    leaves the table and the next level joins it.  The stack steps
+    through the same loop, and stop rule, as :func:`run_de`, and a row's
+    update does not depend on the rows beside it, so the logged
     evaluations, and the path they take, are those of probing one
     midpoint after another.
     """
     L = query.B.L
-    sir = np.zeros((0, L))
-    loads = np.zeros((0, L))
-    steps = np.zeros(0, dtype=np.int64)
-    keys: list[tuple[float, float]] = []  # bracket of each stacked row
-    decided: dict[tuple[float, float], DeEvaluation] = {}
+    probes: dict[tuple[float, float], DeEvaluation | tuple] = {}
     while hi - lo > query.alpha_tol:
-        if (lo, hi) in decided:
-            ev = decided[(lo, hi)]
-            _check_monotone(log, ev)
-            log.append(ev)
-            if ev.success:
-                lo = ev.alpha
+        probe = probes.get((lo, hi))
+        if isinstance(probe, DeEvaluation):
+            _check_monotone(log, probe)
+            log.append(probe)
+            if probe.success:
+                lo = probe.alpha
             else:
-                hi = ev.alpha
+                hi = probe.alpha
             continue
 
-        # Keep the undecided rows of the current probe's subtree, then add
-        # the probes of that subtree that have not run yet.
-        wanted = _subtree(lo, hi, query.alpha_tol, _SPECULATION_DEPTH)
-        decided = {key: ev for key, ev in decided.items() if key in wanted}
-        keep = [i for i, key in enumerate(keys) if key in wanted and key not in decided]
-        sir, loads, steps = sir[keep], loads[keep], steps[keep]
-        keys = [keys[i] for i in keep]
-        joining = [key for key in wanted if key not in decided and key not in keys]
-        if joining:
-            sir = np.vstack([sir, np.zeros((len(joining), L))])
-            loads = np.vstack(
-                [loads, *(query.scenario(0.5 * (a + b)).row_loads(L) for a, b in joining)]
-            )
-            steps = np.append(steps, np.zeros(len(joining), dtype=np.int64))
-            keys += joining
-
+        probes = {
+            (a, b): probes[a, b]
+            if (a, b) in probes
+            else (np.zeros(L), 0, query.scenario(0.5 * (a + b)).row_loads(L))
+            for a, b in _subtree(lo, hi, query.alpha_tol, _SPECULATION_DEPTH)
+        }
+        running = [key for key, state in probes.items() if not isinstance(state, DeEvaluation)]
+        sir, steps, loads = map(np.array, zip(*(probes[key] for key in running)))
         sir, steps, converged, done = _lockstep(
             sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol
         )
-        max_bers = ber_of(sir[done]).max(axis=1)
-        for i, max_ber in zip(np.flatnonzero(done).tolist(), max_bers.tolist()):
-            a, b = keys[i]
-            decided[keys[i]] = _evaluation(
-                query, 0.5 * (a + b), converged[i], max_ber, steps[i]
+        max_bers = ber_of(sir).max(axis=1).tolist()
+        for i, (a, b) in enumerate(running):
+            probes[a, b] = (
+                _evaluation(query, 0.5 * (a + b), converged[i], max_bers[i], steps[i])
+                if done[i]
+                else (sir[i], steps[i], loads[i])
             )
     return lo, hi
 
@@ -266,8 +260,7 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     Requires success at ``alpha_lo`` and failure at ``alpha_hi``, each
     checked by :func:`run_de`; the midpoints then run speculatively in
     lockstep (see :func:`_bisect`), with the same log as one run after
-    another.  The returned estimate is the final bracket's low end, the
-    last load at which the run still succeeded.
+    another.
     """
     log: list[DeEvaluation] = []
     lo_eval = _evaluate(query, query.alpha_lo)
@@ -285,9 +278,7 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
         )
     lo, hi = _bisect(query, query.alpha_lo, query.alpha_hi, log)
     return ThresholdResult(
-        alpha_bp=lo,
         bracket=(lo, hi),
-        de_evaluations=len(log),
         avg_load_at_threshold=average_load(
             query.alpha_tr, lo, query.training_set.tau, query.B.L
         ),

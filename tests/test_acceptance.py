@@ -123,7 +123,7 @@ def test_criterion_3_average_load_formula():
 def test_criterion_4_both_couplings_reach_1e3_at_alpha_190():
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.45, alpha=1.9, training_set=REG_T)
     reg = run_de(to_base_matrix(make_regular(64, 2)), scen, max_iter=10000)
-    g, a = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 659)
+    g, a = sw_rewire(64, 2, 0.1, 2, 14, 659)
     sw = run_de(to_base_matrix(g), replace(scen, training_set=a), max_iter=10000)
     reg_hit = np.flatnonzero(reg.avg_ber <= 1e-3)
     sw_hit = np.flatnonzero(sw.avg_ber <= 1e-3)
@@ -193,7 +193,7 @@ def test_criterion_7a_monotone_de_property():
         g = make_regular(L, W)
         if L % 2 == 0 and L // 2 > 4 * W and rng.random() < 0.5:
             g, ta = sw_rewire(
-                g, float(rng.uniform(0.0, 0.3)), 2,
+                L, W, float(rng.uniform(0.0, 0.3)), 2,
                 int(rng.integers(1, L // 2)), int(rng.integers(1 << 32)),
             )
         else:
@@ -242,7 +242,7 @@ def test_criterion_7b_rewired_graph_invariants():
         tau = int(rng.integers(1, L + 1))
         try:
             g, a = sw_rewire(
-                make_regular(L, W), float(rng.uniform(0.0, 1.0)), c, tau,
+                L, W, float(rng.uniform(0.0, 1.0)), c, tau,
                 int(rng.integers(1 << 63)),
             )
         except GraphError:

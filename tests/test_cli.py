@@ -81,7 +81,7 @@ def test_generate_p_zero_matches_library(tmp_path):
         "--tau", 14, "--seed", 11, "--out", out,
     )
     assert proc.returncode == 0, proc.stderr
-    g, a = sw_rewire(make_regular(64, 2), 0.0, 2, 14, 11)
+    g, a = sw_rewire(64, 2, 0.0, 2, 14, 11)
     assert out.read_text() == serialize_graph(g, a)
 
 

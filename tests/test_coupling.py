@@ -84,17 +84,16 @@ def test_cluster_of_matches_distance_two_oracle():
 def test_sw_rewire_p_zero_is_identity():
     g = make_regular(64, 2)
     for seed in range(25):
-        rewired, assignment = sw_rewire(g, 0.0, 2, 14, seed)
+        rewired, assignment = sw_rewire(64, 2, 0.0, 2, 14, seed)
         assert np.array_equal(rewired.mult, g.mult)
         assert assignment.tau == 14
         assert len(assignment.training_set) == 14
 
 
 def test_sw_rewire_p_one_crosses_all_cluster_edges():
-    g = make_regular(64, 2)
     win0 = cluster_of(0, 64, 2)
     win1 = cluster_of(32, 64, 2)
-    rewired, _ = sw_rewire(g, 1.0, 2, 14, 3)
+    rewired, _ = sw_rewire(64, 2, 1.0, 2, 14, 3)
     for m in sorted(win0):
         rows = set(np.nonzero(rewired.mult[:, m])[0])
         assert rows <= win1, m
@@ -113,7 +112,7 @@ def test_sw_rewire_expected_edge_moves():
     before = g.mult
     moved = np.empty(10_000)
     for seed in range(moved.size):
-        rewired, _ = sw_rewire(g, 0.1, 2, 14, seed)
+        rewired, _ = sw_rewire(64, 2, 0.1, 2, 14, seed)
         moved[seed] = np.maximum(before - rewired.mult, 0).sum()
     se = moved.std(ddof=1) / np.sqrt(moved.size)
     assert abs(moved.mean() - 9.0) <= 3.0 * se
@@ -121,9 +120,8 @@ def test_sw_rewire_expected_edge_moves():
 
 def test_sw_rewire_invariants_on_random_graphs():
     # 1000 rewired graphs: column sums, total mass, integer multiplicities.
-    g = make_regular(64, 2)
     for seed in range(1000):
-        rewired, assignment = sw_rewire(g, 0.1, 2, 14, seed)
+        rewired, assignment = sw_rewire(64, 2, 0.1, 2, 14, seed)
         assert np.all(rewired.mult.sum(axis=0) == 5)
         assert int(rewired.mult.sum()) == 64 * 5
         assert np.all(rewired.mult >= 0)
@@ -133,22 +131,20 @@ def test_sw_rewire_invariants_on_random_graphs():
 
 def test_sw_rewire_parameter_validation():
     # domain checks raise plain ValueError, structural ones GraphError
-    g = make_regular(64, 2)
     with pytest.raises(ValueError):
-        sw_rewire(g, 1.5, 2, 14, 0)
+        sw_rewire(64, 2, 1.5, 2, 14, 0)
     with pytest.raises(GraphError):
-        sw_rewire(g, 0.1, 1, 14, 0)
+        sw_rewire(64, 2, 0.1, 1, 14, 0)
     with pytest.raises(GraphError):
-        sw_rewire(g, 0.1, 3, 14, 0)  # 64 % 3 != 0
+        sw_rewire(64, 2, 0.1, 3, 14, 0)  # 64 % 3 != 0
     with pytest.raises(GraphError):
-        sw_rewire(make_regular(16, 2), 0.1, 2, 4, 0)  # L/c = 8 = 4W overlaps
+        sw_rewire(16, 2, 0.1, 2, 4, 0)  # L/c = 8 = 4W overlaps
 
 
 def test_provenance_checks_the_rewiring_rules_of_sw_rewire():
-    g = make_regular(64, 2)
     for p, c, kind in ((1.5, 2, ValueError), (float("nan"), 2, ValueError), (0.1, 0, GraphError)):
         with pytest.raises(kind) as from_rewire:
-            sw_rewire(g, p, c, 14, 0)
+            sw_rewire(64, 2, p, c, 14, 0)
         with pytest.raises(kind) as from_provenance:
             Provenance(p=p, c=c, seed=0)
         assert str(from_provenance.value) == str(from_rewire.value)
@@ -180,9 +176,8 @@ def test_assign_training_degree_dominance_and_gainers():
     # Over 100 seeded instances: every selected degree >= every unselected
     # degree, and whenever at most tau rows gained edges, all gainers are
     # selected (the tie level only tops up the quota).
-    g = make_regular(64, 2)
     for seed in range(100):
-        rewired, assignment = sw_rewire(g, 0.1, 2, 14, seed)
+        rewired, assignment = sw_rewire(64, 2, 0.1, 2, 14, seed)
         degrees = rewired.mult.sum(axis=1)
         chosen = np.array(assignment.training_set)
         mask = np.zeros(64, dtype=bool)
@@ -204,7 +199,7 @@ def test_to_base_matrix_values():
     B = to_base_matrix(g)
     nz = B.bsq[g.mult > 0]
     assert np.allclose(nz, 0.2, rtol=0, atol=0)
-    rewired, _ = sw_rewire(make_regular(64, 2), 1.0, 2, 14, 5)
+    rewired, _ = sw_rewire(64, 2, 1.0, 2, 14, 5)
     B2 = to_base_matrix(rewired)
     if np.any(rewired.mult == 2):
         assert np.allclose(B2.bsq[rewired.mult == 2], 0.4, rtol=0, atol=0)
@@ -238,7 +233,7 @@ def test_average_load_rejects_nonpositive():
 
 
 def test_serialize_round_trip_with_provenance():
-    g, assignment = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 7)
+    g, assignment = sw_rewire(64, 2, 0.1, 2, 14, 7)
     text = serialize_graph(g, assignment)
     g2, a2 = parse_graph(text)
     assert g2 == g
@@ -247,12 +242,12 @@ def test_serialize_round_trip_with_provenance():
 
 
 def test_serialize_deterministic_bytes():
-    g, assignment = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 42)
+    g, assignment = sw_rewire(64, 2, 0.1, 2, 14, 42)
     assert serialize_graph(g, assignment) == serialize_graph(g, assignment)
 
 
 def test_parse_rejects_truncated_document():
-    g, assignment = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 9)
+    g, assignment = sw_rewire(64, 2, 0.1, 2, 14, 9)
     text = serialize_graph(g, assignment)
     with pytest.raises(GraphParseError):
         parse_graph(text[: len(text) // 2])
@@ -304,7 +299,7 @@ def test_parse_rejects_huge_L_before_allocating():
 
 
 def test_parse_rejects_out_of_range_multiplicity_width_and_provenance():
-    g, assignment = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 7)
+    g, assignment = sw_rewire(64, 2, 0.1, 2, 14, 7)
     text = serialize_graph(g, assignment)
     # Above 2W+1 = 5, including values an int64 table cannot hold.
     for k in (6, 2**63 - 1, 2**63, 10**30):
@@ -323,7 +318,7 @@ def test_parse_rejects_out_of_range_multiplicity_width_and_provenance():
             parse_graph(json.dumps(doc))
 
 
-_FUZZ_TEXT = serialize_graph(*sw_rewire(make_regular(16, 1), 0.3, 2, 4, 5))
+_FUZZ_TEXT = serialize_graph(*sw_rewire(16, 1, 0.3, 2, 4, 5))
 _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

@@ -262,15 +262,18 @@ def test_de_step_stack_rows_equal_single_calls():
     # A row's update must not depend on the stack it sits in: bisection
     # runs probes in lockstep and logs what one run at a time would give.
     rng = np.random.default_rng(31)
-    rewired, _ = sw_rewire(make_regular(64, 2), 0.2, 2, 14, 23)
-    matrices = (
-        to_base_matrix(make_regular(64, 2)).bsq,
-        to_base_matrix(rewired).bsq,
-        UNCOUPLED.bsq,
+    rewired, _ = sw_rewire(64, 2, 0.2, 2, 14, 23)
+    cases = (
+        (to_base_matrix(make_regular(64, 2)).bsq, range(1, 16)),
+        (to_base_matrix(rewired).bsq, range(1, 16)),
+        (UNCOUPLED.bsq, range(1, 16)),
+        # An odd size and the largest chain, where matvec blocks differently.
+        (to_base_matrix(make_regular(257, 2)).bsq, (1, 2, 7)),
+        (to_base_matrix(make_regular(2048, 2)).bsq, (1, 2, 7)),
     )
-    for bsq in matrices:
+    for bsq, sizes in cases:
         L = bsq.shape[0]
-        for n in range(1, 16):
+        for n in sizes:
             sir = rng.uniform(0.0, 12.0, (n, L))
             sir[rng.random((n, L)) < 0.3] = 0.0
             sir[0] = 0.0
@@ -290,7 +293,7 @@ def test_lockstep_rows_joining_late_stop_where_run_de_stops():
     # alone.  With 62 steps, load 1.75 converges on its last allowed step
     # and loads 1.8-1.9 run out (alone they take 388, 104 and 75); 1.85
     # starts one step ahead, so it runs out while 1.8 has one step left.
-    g, assignment = sw_rewire(make_regular(32, 2), 0.4, 2, 6, 3)
+    g, assignment = sw_rewire(32, 2, 0.4, 2, 6, 3)
     B = to_base_matrix(g)
     max_iter, tol = 62, 1e-8
 
@@ -382,7 +385,7 @@ def test_monotone_de_on_random_configurations():
         alpha_tr = float(rng.uniform(0.3, alpha))
         g = make_regular(L, W)
         if L % 2 == 0 and L // 2 > 4 * W and rng.random() < 0.5:
-            g, ta = sw_rewire(g, float(rng.uniform(0.0, 0.3)), 2, int(rng.integers(1, L // 2)), int(rng.integers(1 << 32)))
+            g, ta = sw_rewire(L, W, float(rng.uniform(0.0, 0.3)), 2, int(rng.integers(1, L // 2)), int(rng.integers(1 << 32)))
         else:
             tau = int(rng.integers(0, L // 2 + 1))
             ta = TrainingAssignment(tuple(sorted(rng.choice(L, size=tau, replace=False).tolist())), tau)
@@ -406,7 +409,7 @@ def test_state_bounds_regular_and_rewired():
         assert np.all(sir <= 1.0 / scen.sigma2 + 1e-12)
         assert np.all(sir >= 1.0 / (scen.sigma2 + loads.max()) - 1e-12)
 
-    g, ta = sw_rewire(make_regular(64, 2), 0.2, 2, 14, 17)
+    g, ta = sw_rewire(64, 2, 0.2, 2, 14, 17)
     B2 = to_base_matrix(g)
     scen2 = _scenario(1.9, training=ta)
     loads2 = scen2.row_loads(64)

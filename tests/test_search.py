@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_sample_instance_serialized_digest_is_frozen(spec, index, digest):
 
 def test_sample_instance_matches_direct_rewire():
     g1, a1 = sample_instance(SPEC_64, 169)
-    g2, a2 = sw_rewire(make_regular(64, 2), 0.1, 2, 14, instance_seed(4, 169))
+    g2, a2 = sw_rewire(64, 2, 0.1, 2, 14, instance_seed(4, 169))
     assert g1 == g2 and a1 == a2
 
 
@@ -205,12 +206,51 @@ def test_ensemble_search_worker_count_invariance():
     )
 
 
+def test_ensemble_search_pool_is_bounded_by_samples_and_cpus(monkeypatch):
+    # The pool starts all max_workers processes at its first submit, so a
+    # huge worker count must be cut down before it gets there.  The stand-in
+    # pool records its size and maps in-process, so no process starts.
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
+    scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
+    seq = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80)
+    for usable in (8, 2, 1):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, n=usable: set(range(n)), raising=False
+        )
+        report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80, workers=10**6)
+        assert report.scores == seq.scores
+    # Without an affinity mask the CPU count bounds the pool.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ensemble_search(spec, scen, target_ber=TARGET, max_iter=80, workers=10**6)
+    # One usable CPU scores in-process, without a pool.
+    assert sizes == [3, 2, 2]
+
+
 def test_ensemble_search_scores_reproducible_from_seeds():
     spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=8)
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
     report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80)
     for score in report.scores:
-        g, a = sw_rewire(make_regular(32, 1), 0.1, 2, 8, score.instance_seed)
+        g, a = sw_rewire(32, 1, 0.1, 2, 8, score.instance_seed)
         again = score_instance(g, a, scen, TARGET, max_iter=80)
         assert again.iterations_to_target == score.iterations_to_target
         assert again.final_max_ber == score.final_max_ber
@@ -243,7 +283,7 @@ def test_sw_instance_tracks_regular_convergence_speed():
     # A rewired instance whose training lands in two tight clumps keeps
     # pace with the hand-placed regular blocks at alpha = 1.9.
     reg = score_instance(make_regular(64, 2), REG_T, _scenario(1.9), TARGET)
-    g, a = sw_rewire(make_regular(64, 2), 0.1, 2, 14, 659)
+    g, a = sw_rewire(64, 2, 0.1, 2, 14, 659)
     sw = score_instance(g, a, _scenario(1.9), TARGET)
     assert reg.iterations_to_target == 78
     assert sw.iterations_to_target == 88

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import time
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ def test_bp_threshold_log_is_consistent():
             assert ev.success
         if ev.alpha >= result.bracket[1]:
             assert not ev.success
+    # The estimate and the count are read off the bracket and the log.
+    assert result.alpha_bp == result.bracket[0]
+    assert result.de_evaluations == len(result.log)
+    for name in ("alpha_bp", "de_evaluations"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(result, name, 0)
 
 
 def test_bp_threshold_bracket_errors():
@@ -244,9 +251,7 @@ def _sequential_bp_threshold(query):
         else:
             hi = mid
     return ThresholdResult(
-        alpha_bp=lo,
         bracket=(lo, hi),
-        de_evaluations=len(log),
         avg_load_at_threshold=average_load(query.alpha_tr, lo, query.training_set.tau, query.B.L),
         success_ber=query.success_ber,
         alpha_tol=query.alpha_tol,
@@ -262,7 +267,7 @@ def _csv_bytes(result):
 
 
 def _rewired_query():
-    g, assignment = sw_rewire(make_regular(32, 2), 0.4, 2, 6, 3)
+    g, assignment = sw_rewire(32, 2, 0.4, 2, 6, 3)
     return ThresholdQuery(
         B=to_base_matrix(g),
         sigma2=0.1,
