@@ -389,11 +389,13 @@ def de_step(
     loads of :meth:`SystemScenario.row_loads`.
 
     ``sir`` and ``loads`` may also be stacks of shape (n, L), n states
-    that share ``bsq``; row i of the results then equals, bit for bit,
-    the update of row i alone.
+    that share one (L, L) ``bsq`` or carry their own, as a stack (n, L, L).
+    Row i of the results then equals, bit for bit, the update of row i
+    alone.
     """
     # One matvec per state, for a state and a stack alike; ``m @ bsq.T``
-    # would be one matrix product with a different rounding.
+    # would be one matrix product with a different rounding, and a
+    # contiguous copy of the transpose may round differently too.
     sigma2_rows = sigma2 + loads * np.matvec(bsq, mmse_bpsk(sir))
     return np.matvec(bsq.mT, 1.0 / sigma2_rows), sigma2_rows
 
@@ -408,15 +410,16 @@ def check_de_budget(max_iter: int, tol: float) -> None:
 def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None):
     """Advance DE states in lockstep until one stops; returns (sir, steps, converged, done).
 
-    ``sir`` is one state (L,) or a stack (n, L) of states that share
-    ``bsq``, with ``loads`` of the same shape; ``steps`` counts the steps
-    each has taken so far (an int, or one per row), all below
-    ``max_iter``.  A state stops once its largest sir change falls below
-    ``tol`` (converged) or after ``max_iter`` steps.  Returns, after the
-    first step at which any state stops, every state's last value, step
-    count and converged flag, and ``done`` for the states that stopped.
-    ``record``, if given, receives each new state.  This loop is the
-    only caller of :func:`de_step`, looked up at call time.
+    ``sir`` is one state (L,) or a stack (n, L) of states, with ``loads``
+    of the same shape and ``bsq`` as :func:`de_step` takes it: one
+    matrix, or one per state; ``steps`` counts the steps each has taken
+    so far (an int, or one per row), all below ``max_iter``.  A state
+    stops once its largest sir change falls below ``tol`` (converged) or
+    after ``max_iter`` steps.  Returns, after the first step at which any
+    state stops, every state's last value, step count and converged flag,
+    and ``done`` for the states that stopped.  ``record``, if given,
+    receives each new state.  This loop is the only caller of
+    :func:`de_step`, looked up at call time.
     """
     # A single state's residual is a numpy scalar: float() reads it in
     # about 60 ns, where its .min() takes 2.6 us, a tenth of a step.

@@ -5,7 +5,8 @@ number of density-evolution iterations until the average BER reaches a
 target, and reports the instances in ranked order.  Instance seeds
 derive from (master_seed, index) through a fixed mixing function, so
 results are reproducible and independent of evaluation order or worker
-count.
+count.  Instances are scored in blocks, each one stack of states that
+steps through density evolution in lockstep.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import partial
 from typing import IO
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .coupling import (
     BaseMatrix,
@@ -29,7 +31,14 @@ from .coupling import (
     sw_rewire,
     to_base_matrix,
 )
-from .density_evolution import SystemScenario, check_de_budget, format_float, run_de
+from .density_evolution import (
+    SystemScenario,
+    _lockstep,
+    ber_of,
+    check_de_budget,
+    format_float,
+    run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.search.run_de)
+)
 from .threshold import (
     DEFAULT_SUCCESS_BER,
     BracketError,
@@ -54,6 +63,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _FINALIZE_1 = 0xBF58476D1CE4E5B9
 _FINALIZE_2 = 0x94D049BB133111EB
 _THRESHOLD_FINALISTS = 10
+# Bytes of stacked bsq per scoring block, 32 instances at L = 64: one stack
+# of every instance would hold all their L x L matrices at once.
+_BLOCK_BYTES = 1 << 20
 
 
 def _mix64(z: int) -> int:
@@ -100,12 +112,14 @@ class InstanceScore:
     """Score of one instance: iterations until the average BER reached the target.
 
     ``iterations_to_target`` is None when the target was never reached
-    within the iteration budget.
+    within the iteration budget.  ``iterations`` counts the DE steps the
+    run took until it converged or ran out of budget.
     """
 
     instance_seed: int | None
     iterations_to_target: int | None
     final_max_ber: float
+    iterations: int
     threshold: ThresholdResult | None = None
     index: int | None = None
 
@@ -138,6 +152,70 @@ def _check_target_ber(target_ber: float) -> None:
         raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
 
 
+def _instance_row(
+    g: CouplingGraph, assignment: TrainingAssignment, scen: SystemScenario
+) -> tuple[NDArray[np.float64], NDArray[np.float64], int | None]:
+    """(bsq, loads, seed) of one instance; its training assignment supersedes the scenario's."""
+    return (
+        to_base_matrix(g).bsq,
+        replace(scen, training_set=assignment).row_loads(g.L),
+        None if g.provenance is None else g.provenance.seed,
+    )
+
+
+def _score_stack(
+    bsq: NDArray[np.float64],
+    loads: NDArray[np.float64],
+    sigma2: float,
+    target_ber: float,
+    max_iter: int,
+    tol: float,
+) -> list[tuple[int | None, float, int]]:
+    """Run DE from zero on a stack of instances in lockstep, one per row.
+
+    Row i of ``bsq`` (n, L, L) and ``loads`` (n, L) is one instance.  Each
+    row keeps only what search reads of its run, and returns it in
+    :class:`InstanceScore`'s field order: the first step at which its
+    average BER is at or below ``target_ber`` (step 0 included; None if
+    never), the maximum BER of its last state and its step count.
+    Rows retire as they stop, and the survivors are compacted in place,
+    so ``bsq`` is overwritten.  A row's result equals its run alone.
+    """
+    first = np.full(len(loads), -1)
+    final_max_ber = np.empty(len(loads))
+    iterations = np.empty(len(loads), dtype=np.intp)
+    rows = np.arange(len(loads))  # stack row -> block row
+    sir = np.zeros(loads.shape)
+    step = -1  # steps taken to reach the last recorded state
+
+    def record(state):
+        # Rows already at the target skip the BER.
+        nonlocal step
+        step += 1
+        waiting = np.flatnonzero(first[rows] < 0)
+        if waiting.size:
+            at_target = ber_of(state[waiting]).mean(axis=1) <= target_ber
+            first[rows[waiting[at_target]]] = step
+
+    record(sir)
+    while rows.size:
+        sir, _, _, done = _lockstep(
+            sir, step, bsq[: rows.size], sigma2, loads, max_iter, tol, record
+        )
+        final_max_ber[rows[done]] = ber_of(sir[done]).max(axis=1)
+        iterations[rows[done]] = step
+        keep = np.flatnonzero(~done)
+        # keep ascends, so each row moves down onto one that has retired or moved.
+        for dst, src in enumerate(keep):
+            if dst != src:
+                bsq[dst] = bsq[src]
+        sir, loads, rows = sir[keep], loads[keep], rows[keep]
+    return [
+        (None if reached < 0 else int(reached), float(max_ber), int(steps))
+        for reached, max_ber, steps in zip(first, final_max_ber, iterations)
+    ]
+
+
 def score_instance(
     g: CouplingGraph,
     assignment: TrainingAssignment,
@@ -150,22 +228,16 @@ def score_instance(
     """Run density evolution and record iterations to the average-BER target.
 
     The instance's own training assignment supersedes the one in the
-    scenario template.
+    scenario template.  The result equals the instance's score in any
+    :func:`ensemble_search` block.
     """
     _check_target_ber(target_ber)
-    traj = run_de(
-        to_base_matrix(g),
-        replace(scen, training_set=assignment),
-        max_iter=max_iter,
-        tol=sir_tol,
+    check_de_budget(max_iter, sir_tol)
+    bsq, loads, seed = _instance_row(g, assignment, scen)
+    [outcome] = _score_stack(
+        bsq[None].copy(), loads[None], scen.sigma2, target_ber, max_iter, sir_tol
     )
-    reached = np.flatnonzero(traj.avg_ber <= target_ber)
-    return InstanceScore(
-        instance_seed=None if g.provenance is None else g.provenance.seed,
-        iterations_to_target=int(reached[0]) if reached.size else None,
-        final_max_ber=float(traj.ber[-1].max()),
-        index=index,
-    )
+    return InstanceScore(seed, *outcome, index=index)
 
 
 def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
@@ -177,17 +249,38 @@ def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
     return (iters, score.final_max_ber, score.instance_seed or 0)
 
 
-def _score_index(
-    spec, scen, target_ber, max_iter, sir_tol, index
-) -> tuple[InstanceScore | None, str | None]:
-    try:
-        g, assignment = sample_instance(spec, index)
-        score = score_instance(
-            g, assignment, scen, target_ber, max_iter, sir_tol, index=index
-        )
-        return score, None
-    except Exception as exc:  # recorded per instance, search continues
-        return None, f"{type(exc).__name__}: {exc}"
+def _block_rows(L: int) -> int:
+    """Instances per scoring block: at most _BLOCK_BYTES of stacked bsq, and at least one."""
+    return max(1, _BLOCK_BYTES // (L * L * 8))
+
+
+def _score_block(
+    spec, scen, target_ber, max_iter, sir_tol, block: range
+) -> tuple[list[InstanceScore], list[tuple[int, str]]]:
+    """Sample instances ``block`` and score them as one stack; returns (scores, failures).
+
+    An instance that cannot be sampled is recorded as (index, "Type:
+    message") and left out of the stack; the others are still scored.
+    Only the stack outlives sampling, not the graphs.
+    """
+    bsq = np.empty((len(block), spec.L, spec.L))
+    loads = np.empty((len(block), spec.L))
+    sampled, failures = [], []
+    for index in block:
+        row = len(sampled)
+        try:
+            bsq[row], loads[row], seed = _instance_row(*sample_instance(spec, index), scen)
+        except Exception as exc:  # recorded per instance, search continues
+            failures.append((index, f"{type(exc).__name__}: {exc}"))
+        else:
+            sampled.append((seed, index))
+    n = len(sampled)
+    outcomes = _score_stack(bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
+    scores = [
+        InstanceScore(seed, *outcome, index=index)
+        for (seed, index), outcome in zip(sampled, outcomes)
+    ]
+    return scores, failures
 
 
 def ensemble_search(
@@ -209,15 +302,17 @@ def ensemble_search(
     Ranking is ascending by iterations to target (unreached last), then
     final maximum BER, then instance seed.  With ``with_thresholds`` the
     top 10 instances also get a BP-threshold bisection over
-    (alpha_lo, alpha_hi).  Instance evaluation may be spread over up to
-    ``workers`` processes, no more than the samples or the CPUs this
-    process may use; the report does not depend on the worker count
-    because every instance derives from its own index.
+    (alpha_lo, alpha_hi).  Instances are scored in blocks of consecutive
+    indices, each one lockstep stack of at most 1 MiB of base matrices
+    (32 instances at L = 64), or of one instance where that is larger.  The blocks may be spread over up
+    to ``workers`` processes, no more than the samples or the CPUs this
+    process may use, with at most ceil(n_samples / workers) instances
+    each.  The report does not depend on the worker count or the blocks,
+    because every instance derives from its own index and scores alone.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    # Checked here as well as per instance, so bad arguments fail before
-    # any sampling starts.
+    # Checked before any sampling starts, so bad arguments fail up front.
     _check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
     if with_thresholds:
@@ -235,24 +330,29 @@ def ensemble_search(
             max_iter=threshold_max_iter,
             sir_tol=sir_tol,
         )
-    score_at = partial(_score_index, spec, scen, target_ber, max_iter, sir_tol)
-    indices = range(spec.n_samples)
     # The pool starts all its processes at once, so no more than there are
     # samples or CPUs this process may run on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, spec.n_samples, cpus or 1)
-    # Both maps return the outcomes in index order.
+    # Each block is one pool task, and blocks of at most ceil(n_samples /
+    # workers) instances leave no worker without one.
+    rows = min(_block_rows(spec.L), -(-spec.n_samples // workers))
+    blocks = [
+        range(start, min(start + rows, spec.n_samples)) for start in range(0, spec.n_samples, rows)
+    ]
+    score_block = partial(_score_block, spec, scen, target_ber, max_iter, sir_tol)
+    # Both maps return the blocks in index order.
     if workers == 1:
-        outcomes = list(map(score_at, indices))
+        outcomes = list(map(score_block, blocks))
     else:
         # Imported here: it loads multiprocessing, which every CLI call would pay for.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(score_at, indices, chunksize=8))
+            outcomes = list(pool.map(score_block, blocks))
 
-    scores = [score for score, _ in outcomes if score is not None]
-    failures = [(index, err) for index, (_, err) in enumerate(outcomes) if err is not None]
+    scores = [score for block_scores, _ in outcomes for score in block_scores]
+    failures = [failure for _, block_failures in outcomes for failure in block_failures]
     if not scores:
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)

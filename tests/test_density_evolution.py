@@ -284,6 +284,26 @@ def test_de_step_stack_rows_equal_single_calls():
                 one, one_rows = de_step(sir[i], bsq, 0.1, loads[i])
                 assert np.array_equal(new[i], one), (L, n, i)
                 assert np.array_equal(sigma2_rows[i], one_rows), (L, n, i)
+    # Rows that carry their own bsq, as search stacks its instances: a
+    # regular band, then rewired ones (at the prime L = 257, which no
+    # cluster count divides, bands of other widths).
+    for L, W, tau, sizes in ((16, 1, 3, (1, 2, 33)), (64, 2, 14, (2, 7, 33)), (257, 2, 14, (2, 5))):
+        for n in sizes:
+            if L == 257:
+                graphs = [make_regular(L, width) for width in range(2, n + 2)]
+            else:
+                graphs = [make_regular(L, W)]
+                graphs += [sw_rewire(L, W, 0.3, 2, tau, seed)[0] for seed in range(n - 1)]
+            bsq = np.stack([to_base_matrix(g).bsq for g in graphs])
+            sir = rng.uniform(0.0, 12.0, (n, L))
+            sir[0] = 0.0
+            loads = rng.uniform(0.5, 2.5, (n, L))
+            new, sigma2_rows = de_step(sir, bsq, 0.1, loads)
+            assert new.shape == sigma2_rows.shape == (n, L)
+            for i in range(n):
+                one, one_rows = de_step(sir[i], bsq[i], 0.1, loads[i])
+                assert np.array_equal(new[i], one), (L, n, i)
+                assert np.array_equal(sigma2_rows[i], one_rows), (L, n, i)
 
 
 def test_lockstep_rows_joining_late_stop_where_run_de_stops():
@@ -328,6 +348,61 @@ def test_lockstep_rows_joining_late_stop_where_run_de_stops():
         assert (converged, n_steps) == (traj.converged, traj.iterations_run), alpha
     assert outcomes[1.75][1:] == (True, max_iter)
     assert [outcomes[a][1:] for a in (1.8, 1.85, 1.9)] == [(False, max_iter)] * 3
+
+
+def test_lockstep_rows_with_their_own_graphs_are_monotone_and_equal_run_de():
+    # Search stacks instances of different rewired graphs, each with its
+    # own bsq.  Rows join the stack two at a time, whenever a row stops,
+    # and each keeps its own 60-step budget: (0, 1.8), (1, 1.85), (2, 1.9)
+    # and (2, 1.75) run out (alone they take 244, 156, 110 and 61 steps)
+    # and (1, 1.75) converges on its last step.  Every row's path must be
+    # nondecreasing and equal run_de's table for its graph and load alone.
+    max_iter, tol = 60, 1e-8
+    graphs = {seed: sw_rewire(32, 2, 0.4, 2, 6, seed) for seed in range(4)}
+    cases = [(3, 1.2), (0, 1.8), (1, 1.75), (2, 2.2), (1, 1.85), (0, 2.5), (2, 1.9), (2, 1.75)]
+
+    def scenario(case):
+        seed, alpha = case
+        return _scenario(alpha, training=graphs[seed][1])
+
+    def base(case):
+        return to_base_matrix(graphs[case[0]][0])
+
+    pending, ids, paths, outcomes, joined_at = list(cases), [], {}, {}, {}
+    sir, loads, bsq = np.empty((0, 32)), np.empty((0, 32)), np.empty((0, 32, 32))
+    steps = np.empty(0, dtype=np.intp)
+    clock = 0
+
+    def record(state):
+        for i, case in enumerate(ids):
+            paths[case].append(state[i])
+
+    while pending or ids:
+        for case in pending[:2]:
+            ids.append(case)
+            paths[case], joined_at[case] = [np.zeros(32)], clock
+            sir = np.vstack([sir, np.zeros(32)])
+            loads = np.vstack([loads, scenario(case).row_loads(32)])
+            bsq = np.concatenate([bsq, base(case).bsq[None]])
+            steps = np.append(steps, 0)
+        del pending[:2]
+        before = int(steps[0])
+        sir, steps, converged, done = _lockstep(sir, steps, bsq, 0.1, loads, max_iter, tol, record)
+        clock += int(steps[0]) - before
+        for i in np.flatnonzero(done):
+            outcomes[ids[i]] = (bool(converged[i]), int(steps[i]))
+        keep = np.flatnonzero(~done)
+        sir, loads, bsq, steps = sir[keep], loads[keep], bsq[keep], steps[keep]
+        ids = [ids[i] for i in keep]
+    assert len(set(joined_at.values())) == 4
+    for case in cases:
+        path = np.array(paths[case])
+        assert np.all(np.diff(path, axis=0) >= 0.0), case
+        traj = run_de(base(case), scenario(case), max_iter=max_iter, tol=tol)
+        assert np.array_equal(path, traj.sir), case
+        assert outcomes[case] == (traj.converged, traj.iterations_run), case
+    assert outcomes[(1, 1.75)] == (True, max_iter)
+    assert sum(outcome == (False, max_iter) for outcome in outcomes.values()) == 4
 
 
 def test_run_de_rejects_training_index_beyond_chain():

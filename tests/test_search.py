@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from sccdma import (
     to_base_matrix,
     write_search_csv,
 )
-from sccdma import search
+from sccdma import density_evolution, search
 
 NO_TRAINING = TrainingAssignment((), 0)
 REG_T = TrainingAssignment(
@@ -195,15 +196,84 @@ def test_ensemble_search_single_sample():
     assert serialize_graph(report.best_graph, report.best_assignment) == serialize_graph(g, a)
 
 
+SPEC_32 = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=12)
+SCEN_32 = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
+
+
+def _csv_bytes(report):
+    buf = io.StringIO()
+    write_search_csv(report, buf)
+    return buf.getvalue().encode()
+
+
 def test_ensemble_search_worker_count_invariance():
-    spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=12)
-    scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
-    seq = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80)
-    par = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80, workers=2)
+    seq = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
+    par = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80, workers=2)
     assert seq.scores == par.scores
+    assert _csv_bytes(seq) == _csv_bytes(par)
     assert serialize_graph(seq.best_graph, seq.best_assignment) == serialize_graph(
         par.best_graph, par.best_assignment
     )
+
+
+@pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
+def test_ensemble_search_block_size_invariance(monkeypatch, rows):
+    # A row's score must not depend on the block it is stacked in.  The
+    # 50-step budget makes three of the twelve rows run out mid-block.
+    default = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
+    assert search._block_rows(SPEC_32.L) == rows
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert report.scores == default.scores
+    assert _csv_bytes(report) == _csv_bytes(default)
+    assert sum(score.iterations == 50 for score in report.scores) == 3
+
+
+def test_ensemble_search_schedule_is_frozen(monkeypatch):
+    # The twelve instances fit one block, so search takes as many lockstep
+    # de_step calls as its longest run (50, the budget; three run out) and
+    # advances as many rows as the instances' run_de iterations together.
+    runs = [
+        run_de(to_base_matrix(g), replace(SCEN_32, training_set=a), max_iter=50)
+        for g, a in (sample_instance(SPEC_32, index) for index in range(SPEC_32.n_samples))
+    ]
+    stacks = []
+    real_de_step = density_evolution.de_step
+
+    def counting_de_step(sir, *args):
+        stacks.append(sir.shape[0] if sir.ndim == 2 else 1)
+        return real_de_step(sir, *args)
+
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert sum(stacks) == sum(score.iterations for score in report.scores)
+    assert sum(stacks) == sum(traj.iterations_run for traj in runs)
+    assert (len(stacks), sum(stacks)) == (50, 539)
+    # Each score is what its run_de table gives.
+    for score in report.scores:
+        traj = runs[score.index]
+        reached = np.flatnonzero(traj.avg_ber <= TARGET)
+        assert score.iterations_to_target == (int(reached[0]) if reached.size else None)
+        assert score.final_max_ber == float(traj.ber[-1].max())
+        assert score.iterations == traj.iterations_run
+
+
+@pytest.mark.parametrize("rows", [1, SPEC_32.n_samples])
+def test_ensemble_search_records_sampling_failure_and_scores_the_rest(monkeypatch, rows):
+    # With one-row blocks the failing instance leaves its block empty.
+    clean = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
+    monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
+    real_sample = search.sample_instance
+
+    def failing_sample(spec, index):
+        if index == 5:
+            raise RuntimeError("no instance 5")
+        return real_sample(spec, index)
+
+    monkeypatch.setattr(search, "sample_instance", failing_sample)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
+    assert report.failures == ((5, "RuntimeError: no instance 5"),)
+    assert report.scores == tuple(score for score in clean.scores if score.index != 5)
 
 
 def test_ensemble_search_pool_is_bounded_by_samples_and_cpus(monkeypatch):
