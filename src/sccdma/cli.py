@@ -53,14 +53,17 @@ def _parse_training_flag(text: str) -> tuple[int, ...]:
     return members
 
 
-def _training_override(text: str, L: int) -> TrainingAssignment:
-    members = _parse_training_flag(text)
+def _training_override(members: tuple[int, ...], L: int) -> TrainingAssignment:
     check_training(members, L)
     return TrainingAssignment(training_set=members, tau=len(members))
 
 
-def _load_graph(path: str):
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+def _load_graph(args):
+    """The ``--graph`` file's graph and training set, ``--training-set`` replacing the latter."""
+    graph, assignment = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    if args.training_set is not None:
+        assignment = _training_override(_parse_training_flag(args.training_set), graph.L)
+    return graph, assignment
 
 
 def _write_text(path: str, text: str) -> None:
@@ -69,21 +72,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.training_set is not None:
-        tau = len(_parse_training_flag(args.training_set))
-    else:
-        tau = args.tau
+    members = None if args.training_set is None else _parse_training_flag(args.training_set)
+    tau = args.tau if members is None else len(members)
     graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, tau, args.seed)
-    if args.training_set is not None:
-        assignment = _training_override(args.training_set, args.L)
+    if members is not None:
+        assignment = _training_override(members, args.L)
     _write_text(args.out, serialize_graph(graph, assignment))
     return 0
 
 
 def cmd_de(args) -> int:
-    graph, assignment = _load_graph(args.graph)
-    if args.training_set is not None:
-        assignment = _training_override(args.training_set, graph.L)
+    graph, assignment = _load_graph(args)
     scen = SystemScenario(
         sigma2=sigma2_from_db(args.snr_db),
         alpha_tr=args.alpha_tr,
@@ -111,9 +110,7 @@ def cmd_threshold(args) -> int:
             raise ValueError("--training-set needs --graph: an uncoupled system has no training set")
         B, assignment = _UNCOUPLED_B, _NO_TRAINING
     else:
-        graph, assignment = _load_graph(args.graph)
-        if args.training_set is not None:
-            assignment = _training_override(args.training_set, graph.L)
+        graph, assignment = _load_graph(args)
         B = to_base_matrix(graph)
     query = ThresholdQuery(
         B=B,

@@ -304,11 +304,12 @@ def ensemble_search(
     top 10 instances also get a BP-threshold bisection over
     (alpha_lo, alpha_hi).  Instances are scored in blocks of consecutive
     indices, each one lockstep stack of at most 1 MiB of base matrices
-    (32 instances at L = 64), or of one instance where that is larger.  The blocks may be spread over up
-    to ``workers`` processes, no more than the samples or the CPUs this
-    process may use, with at most ceil(n_samples / workers) instances
-    each.  The report does not depend on the worker count or the blocks,
-    because every instance derives from its own index and scores alone.
+    (32 instances at L = 64), or of one instance where that is larger.
+    The blocks may be spread over up to ``workers`` processes, no more
+    than the samples or the CPUs this process may use, with at most
+    ceil(n_samples / workers) instances each.  The report does not
+    depend on the worker count or the blocks, because every instance
+    derives from its own index and scores alone.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")

@@ -26,7 +26,7 @@ from .density_evolution import (
     check_de_budget,
     format_float,
     mmse_bpsk,
-    run_de,
+    run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.threshold.run_de)
 )
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DeEvaluation",
     "ThresholdQuery",
     "ThresholdResult",
-    "de_success",
     "bp_threshold",
     "scalar_fixed_points",
     "write_threshold_csv",
@@ -57,7 +56,7 @@ DEFAULT_SUCCESS_BER = 2e-3
 ALPHA_MAP_10DB = 1.98267
 
 # Levels of the bisection tree below the current probe that run alongside
-# it: depth 2 stacks at most 7 DE states.
+# it: depth 2 stacks at most 7 midpoints, and 9 DE states with the bracket ends.
 _SPECULATION_DEPTH = 2
 
 
@@ -147,36 +146,6 @@ class ThresholdResult:
         object.__setattr__(self, "de_evaluations", len(self.log))
 
 
-def _evaluation(
-    query: ThresholdQuery, alpha: float, converged: bool, max_ber: float, iterations: int
-) -> DeEvaluation:
-    """The logged outcome of a DE run at ``alpha`` that stopped with this largest BER."""
-    return DeEvaluation(
-        alpha=alpha,
-        converged=bool(converged),
-        max_ber=max_ber,
-        iterations=int(iterations),
-        success=bool(converged) and max_ber <= query.success_ber,
-    )
-
-
-def _evaluate(query: ThresholdQuery, alpha: float) -> DeEvaluation:
-    traj = run_de(
-        query.B,
-        query.scenario(alpha),
-        max_iter=query.max_iter,
-        tol=query.sir_tol,
-    )
-    return _evaluation(
-        query, alpha, traj.converged, float(traj.ber[-1].max()), traj.iterations_run
-    )
-
-
-def de_success(alpha: float, query: ThresholdQuery) -> bool:
-    """Whether density evolution at this load converges with all BERs at or below the success level."""
-    return _evaluate(query, alpha).success
-
-
 def _check_monotone(log: list[DeEvaluation], new: DeEvaluation) -> None:
     # Success must not reappear above a recorded failure; bisection cannot
     # produce that ordering on its own, so a hit means the success flag is
@@ -204,79 +173,87 @@ def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[tuple[float, 
     return [(lo, hi), *_subtree(lo, mid, tol, depth - 1), *_subtree(mid, hi, tol, depth - 1)]
 
 
-def _bisect(
-    query: ThresholdQuery, lo: float, hi: float, log: list[DeEvaluation]
-) -> tuple[float, float]:
-    """Bisect (lo, hi) down to ``alpha_tol``, appending each probe to ``log``; returns the bracket.
+def _bisect(query: ThresholdQuery) -> tuple[tuple[float, float], list[DeEvaluation]]:
+    """Probe the bracket's ends, then bisect it down to ``alpha_tol``; returns it and the log.
 
-    A probe's DE run does not depend on any other probe, so the current
-    probe runs in one lockstep stack with every probe of the next
-    ``_SPECULATION_DEPTH`` levels below it.  ``probes`` maps each of
-    those brackets to its run's state (sir, steps, row loads) or, once
-    it stops, its evaluation; a branch that the current probe rules out
-    leaves the table and the next level joins it.  The stack steps
-    through the same loop, and stop rule, as :func:`run_de`, and a row's
-    update does not depend on the rows beside it, so the logged
-    evaluations, and the path they take, are those of probing one
-    midpoint after another.
+    The path probes ``alpha_lo``, then ``alpha_hi``, then the midpoint
+    of the current bracket.  A probe's DE run does not depend on any
+    other probe, so the current probe runs in one lockstep stack with
+    the ends still unlogged and every midpoint of the next
+    ``_SPECULATION_DEPTH`` levels below it (at most 9 states).
+    ``probes`` maps each of those loads to its run's state (sir, steps,
+    row loads) or, once it stops, its evaluation; a load that the path
+    rules out leaves the table and the next level joins it.  Every load
+    is a distinct key: ``ThresholdQuery`` keeps the bracket wider than
+    two float spacings, so each midpoint lies strictly inside it.  The
+    stack steps through the same loop, and stop rule, as
+    :func:`run_de`, and a row's update does not depend on the rows
+    beside it, so the logged evaluations, and the path they take, are
+    those of probing one load after another.
     """
-    L = query.B.L
-    probes: dict[tuple[float, float], DeEvaluation | tuple] = {}
-    while hi - lo > query.alpha_tol:
-        probe = probes.get((lo, hi))
+    L, tol = query.B.L, query.alpha_tol
+    ends = (query.alpha_lo, query.alpha_hi)
+    lo, hi = ends
+    log: list[DeEvaluation] = []
+    probes: dict[float, DeEvaluation | tuple] = {}
+    while len(log) < 2 or hi - lo > tol:
+        probe = probes.get(ends[len(log)] if len(log) < 2 else 0.5 * (lo + hi))
         if isinstance(probe, DeEvaluation):
             _check_monotone(log, probe)
             log.append(probe)
+            # On bracket ends that straddle the threshold this changes nothing.
             if probe.success:
                 lo = probe.alpha
             else:
                 hi = probe.alpha
+            if len(log) == 2 and (not log[0].success or log[1].success):
+                lo_ev, hi_ev = log
+                raise BracketError(
+                    "bracket does not straddle the threshold: "
+                    f"alpha_lo={lo_ev.alpha} success={lo_ev.success} "
+                    f"(converged={lo_ev.converged}, max_ber={lo_ev.max_ber:.6g}), "
+                    f"alpha_hi={hi_ev.alpha} success={hi_ev.success} "
+                    f"(converged={hi_ev.converged}, max_ber={hi_ev.max_ber:.6g})"
+                )
             continue
 
+        midpoints = (0.5 * (a + b) for a, b in _subtree(lo, hi, tol, _SPECULATION_DEPTH))
         probes = {
-            (a, b): probes[a, b]
-            if (a, b) in probes
-            else (np.zeros(L), 0, query.scenario(0.5 * (a + b)).row_loads(L))
-            for a, b in _subtree(lo, hi, query.alpha_tol, _SPECULATION_DEPTH)
+            alpha: probes[alpha]
+            if alpha in probes
+            else (np.zeros(L), 0, query.scenario(alpha).row_loads(L))
+            for alpha in (*ends[len(log) :], *midpoints)
         }
-        running = [key for key, state in probes.items() if not isinstance(state, DeEvaluation)]
-        sir, steps, loads = map(np.array, zip(*(probes[key] for key in running)))
+        running = [alpha for alpha, state in probes.items() if not isinstance(state, DeEvaluation)]
+        sir, steps, loads = map(np.array, zip(*(probes[alpha] for alpha in running)))
         sir, steps, converged, done = _lockstep(
             sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol
         )
         max_bers = ber_of(sir).max(axis=1).tolist()
-        for i, (a, b) in enumerate(running):
-            probes[a, b] = (
-                _evaluation(query, 0.5 * (a + b), converged[i], max_bers[i], steps[i])
+        for i, alpha in enumerate(running):
+            probes[alpha] = (
+                DeEvaluation(
+                    alpha=alpha,
+                    converged=bool(converged[i]),
+                    max_ber=max_bers[i],
+                    iterations=int(steps[i]),
+                    success=bool(converged[i]) and max_bers[i] <= query.success_ber,
+                )
                 if done[i]
                 else (sir[i], steps[i], loads[i])
             )
-    return lo, hi
+    return (lo, hi), log
 
 
 def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     """Bisect the bracket on the density-evolution success flag.
 
-    Requires success at ``alpha_lo`` and failure at ``alpha_hi``, each
-    checked by :func:`run_de`; the midpoints then run speculatively in
-    lockstep (see :func:`_bisect`), with the same log as one run after
-    another.
+    Requires success at ``alpha_lo`` and failure at ``alpha_hi`` and
+    raises :class:`BracketError` otherwise.  Every probe, the two ends
+    included, runs speculatively in lockstep (see :func:`_bisect`), with
+    the same log as one run after another.
     """
-    log: list[DeEvaluation] = []
-    lo_eval = _evaluate(query, query.alpha_lo)
-    log.append(lo_eval)
-    hi_eval = _evaluate(query, query.alpha_hi)
-    _check_monotone(log, hi_eval)
-    log.append(hi_eval)
-    if not lo_eval.success or hi_eval.success:
-        raise BracketError(
-            "bracket does not straddle the threshold: "
-            f"alpha_lo={query.alpha_lo} success={lo_eval.success} "
-            f"(converged={lo_eval.converged}, max_ber={lo_eval.max_ber:.6g}), "
-            f"alpha_hi={query.alpha_hi} success={hi_eval.success} "
-            f"(converged={hi_eval.converged}, max_ber={hi_eval.max_ber:.6g})"
-        )
-    lo, hi = _bisect(query, query.alpha_lo, query.alpha_hi, log)
+    (lo, hi), log = _bisect(query)
     return ThresholdResult(
         bracket=(lo, hi),
         avg_load_at_threshold=average_load(

@@ -207,6 +207,29 @@ def test_threshold_inverted_bracket_exits_2():
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags, ends",
+    [
+        (
+            ("--alpha-lo", 1.0, "--alpha-hi", 1.2),
+            "alpha_lo=1.0 success=True (converged=True, max_ber=0.000907309), "
+            "alpha_hi=1.2 success=True (converged=True, max_ber=0.000939261)",
+        ),
+        # alpha_lo needs 1,869 iterations to converge, so it runs out of budget.
+        (
+            ("--alpha-lo", 1.73077, "--max-iter", 1500),
+            "alpha_lo=1.73077 success=False (converged=False, max_ber=0.0811061), "
+            "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+        ),
+    ],
+    ids=["both_succeed", "lo_out_of_budget"],
+)
+def test_threshold_bracket_that_does_not_straddle_exits_2(flags, ends):
+    code, out, err = run_main(("threshold", "--uncoupled", "--snr-db", 10, *flags))
+    assert code == 2 and out == ""
+    assert err == f"error: bracket does not straddle the threshold: {ends}\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha-hi", "inf"), ("--alpha-tol", "1e-300")])
 def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
     # An infinite end, or a width below the float spacing, would keep

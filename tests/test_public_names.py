@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "MMSE_CUTOFF", "Provenance", "SearchReport", "SystemScenario",
     "ThresholdQuery", "ThresholdResult", "TrainingAssignment", "__version__",
     "assign_training", "average_load", "ber_of", "bp_threshold", "cluster_of",
-    "de_step", "de_success", "ensemble_search", "instance_seed", "make_regular",
+    "de_step", "ensemble_search", "instance_seed", "make_regular",
     "mmse_bpsk", "parse_graph", "qfunc", "run_de", "sample_instance",
     "scalar_fixed_points", "score_instance", "serialize_graph", "sigma2_from_db",
     "sw_rewire", "to_base_matrix", "write_evaluation_log_csv", "write_search_csv",
@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned_listed_once_and_resolve():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(sccdma.__all__) == PUBLIC_NAMES
     assert len(set(sccdma.__all__)) == len(sccdma.__all__)
     assert [name for name in sccdma.__all__ if not hasattr(sccdma, name)] == []

@@ -16,7 +16,6 @@ from sccdma import (
     TrainingAssignment,
     average_load,
     bp_threshold,
-    de_success,
     make_regular,
     run_de,
     scalar_fixed_points,
@@ -87,7 +86,7 @@ def test_query_rejects_nonpositive_parameters():
         with pytest.raises(ValueError, match="alpha_tol"):
             _uncoupled_query(alpha_tol=tol)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        de_success(float("nan"), _uncoupled_query())
+        _uncoupled_query().scenario(float("nan"))
     with pytest.raises(ValueError):
         _uncoupled_query(success_ber=1.5)
 
@@ -98,15 +97,14 @@ def test_query_checks_the_noise_bound_at_alpha_hi():
         _uncoupled_query(alpha_hi=1e306)
 
 
-def test_de_success_bracket_examples():
-    q = _uncoupled_query()
-    assert de_success(1.6, q) is True
-    assert de_success(1.8, q) is False
+def test_bp_threshold_logs_success_at_alpha_lo_then_failure_at_alpha_hi():
+    result = bp_threshold(_uncoupled_query(alpha_lo=1.6, alpha_hi=1.8))
+    assert [(ev.alpha, ev.success) for ev in result.log[:2]] == [(1.6, True), (1.8, False)]
 
 
-def test_de_success_half_ber_always_succeeds():
-    q = _uncoupled_query(success_ber=0.5)
-    assert de_success(2.4, q) is True
+def test_bp_threshold_half_ber_succeeds_at_alpha_hi():
+    with pytest.raises(BracketError, match="alpha_hi=2.4 success=True"):
+        bp_threshold(_uncoupled_query(success_ber=0.5, alpha_hi=2.4))
 
 
 def test_bp_threshold_uncoupled():
@@ -138,11 +136,33 @@ def test_bp_threshold_log_is_consistent():
             setattr(result, name, 0)
 
 
+# Queries whose bracket does not straddle the threshold, and the ends' part of
+# the error.  At a budget of 1,500 the run at alpha_lo = 1.73077 (1,869
+# iterations to converge) stops unconverged.
+BRACKET_ERRORS = {
+    "both_fail": (
+        dict(alpha_lo=2.0, alpha_hi=2.5),
+        "alpha_lo=2.0 success=False (converged=True, max_ber=0.15839), "
+        "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+    ),
+    "both_succeed": (
+        dict(alpha_lo=1.0, alpha_hi=1.2),
+        "alpha_lo=1.0 success=True (converged=True, max_ber=0.000907309), "
+        "alpha_hi=1.2 success=True (converged=True, max_ber=0.000939261)",
+    ),
+    "lo_out_of_budget": (
+        dict(alpha_lo=1.73077, max_iter=1500),
+        "alpha_lo=1.73077 success=False (converged=False, max_ber=0.0811061), "
+        "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+    ),
+}
+
+
 def test_bp_threshold_bracket_errors():
-    with pytest.raises(BracketError, match="success=False"):
-        bp_threshold(_uncoupled_query(alpha_lo=2.0, alpha_hi=2.5))
-    with pytest.raises(BracketError, match="success=True"):
-        bp_threshold(_uncoupled_query(alpha_lo=1.0, alpha_hi=1.2))
+    for overrides, ends in BRACKET_ERRORS.values():
+        with pytest.raises(BracketError) as info:
+            bp_threshold(_uncoupled_query(**overrides))
+        assert str(info.value) == f"bracket does not straddle the threshold: {ends}"
 
 
 def test_check_monotone_aborts_on_inverted_pair():
@@ -294,6 +314,10 @@ SPECULATION_CASES = {
     "rewired_budget60": _rewired_query,
     # 26 probes, far deeper than the stack; eight run out of budget.
     "uncoupled_fine_budget400": lambda: _uncoupled_query(alpha_tol=1e-7, max_iter=400),
+    # A bracket end is the slowest probe on the path: alpha_lo takes 1,869
+    # iterations, alpha_hi 3,362, while the midpoints retire beside it.
+    "slowest_lo_end": lambda: _uncoupled_query(alpha_lo=1.73077),
+    "slowest_hi_end": lambda: _uncoupled_query(alpha_hi=1.7308),
 }
 
 
@@ -307,12 +331,16 @@ def test_speculative_bisection_matches_sequential_reference(case):
     if "budget" in case:
         assert any(not ev.converged for ev in result.log)
         assert any(ev.converged and ev.iterations == query.max_iter for ev in result.log)
+    if case.startswith("slowest"):
+        end = result.log[0 if case == "slowest_lo_end" else 1]
+        assert end.iterations == max(ev.iterations for ev in result.log)
 
 
-def test_speculative_bisection_runs_bracket_ends_alone_and_midpoints_stacked(monkeypatch):
-    # The bracket ends go through threshold.run_de and the midpoints
-    # through density_evolution.de_step, looked up at call time, so a
-    # caller that rebinds either name sees every call.
+def test_speculative_bisection_stacks_bracket_ends_with_midpoints(monkeypatch):
+    # Every probe, the bracket ends included, steps through
+    # density_evolution.de_step as a row of one stack; threshold.run_de is
+    # never called.  Both names are looked up at call time, so a caller
+    # that rebinds either sees every call.
     runs, stacks = [], []
     real_run_de = threshold.run_de
     real_de_step = density_evolution.de_step
@@ -327,18 +355,17 @@ def test_speculative_bisection_runs_bracket_ends_alone_and_midpoints_stacked(mon
 
     monkeypatch.setattr(threshold, "run_de", counting_run_de)
     monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
-    query = _uncoupled_query()
-    result = bp_threshold(query)
-    assert runs == [query.alpha_lo, query.alpha_hi]
-    midpoint_steps = [n for n in stacks if n]
-    assert 1 <= min(midpoint_steps) and max(midpoint_steps) == 7
-    assert len(midpoint_steps) < sum(ev.iterations for ev in result.log[2:])
+    result = bp_threshold(_uncoupled_query())
+    assert runs == []
+    # The two ends and the 7 midpoints of the first three levels.
+    assert 1 <= min(stacks) and max(stacks) == 9
+    assert len(stacks) < sum(ev.iterations for ev in result.log)
 
 
 def test_uncoupled_bisection_schedule_is_frozen(monkeypatch):
-    # The work of speculative bisection on the uncoupled query, frozen: the
-    # bracket ends' 40 single-state steps, then 3,589 lockstep steps that
-    # advance 11,632 rows, for 7,043 iterations on the bisection path.
+    # The work of speculative bisection on the uncoupled query, frozen:
+    # 3,589 lockstep steps, all stacked, that advance 11,672 rows, for
+    # 7,043 iterations on the bisection path.
     stacks = []
     real_de_step = density_evolution.de_step
 
@@ -349,5 +376,5 @@ def test_uncoupled_bisection_schedule_is_frozen(monkeypatch):
     monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
     result = bp_threshold(_uncoupled_query())
     stacked = [n for n in stacks if n]
-    assert (len(stacks), len(stacked), sum(stacked)) == (3629, 3589, 11632)
+    assert (len(stacks), len(stacked), sum(stacked)) == (3589, 3589, 11672)
     assert sum(ev.iterations for ev in result.log) == 7043
