@@ -32,6 +32,7 @@ from .coupling import (
     to_base_matrix,
 )
 from .density_evolution import (
+    _Q_LIMIT,
     SystemScenario,
     _lockstep,
     ber_of,
@@ -66,6 +67,14 @@ _THRESHOLD_FINALISTS = 10
 # Bytes of stacked bsq per scoring block, 32 instances at L = 64: one stack
 # of every instance would hold all their L x L matrices at once.
 _BLOCK_BYTES = 1 << 20
+# The SIR floor's BER exceeds the target by this relative margin, far above
+# the ~1e-13 relative error of ber_of and of a row's mean SIR.
+_FLOOR_MARGIN = 1e-9
+# qfunc reads 0 once x / sqrt(2) reaches _Q_LIMIT, where Q(x) is at most
+# erfc(_Q_LIMIT) / 2 = 1.1e-307: the most it drops from any one BER.
+_Q_CUTOFF_TAIL = math.erfc(_Q_LIMIT) / 2
+# Above 2 _Q_LIMIT^2 = 1404.5, so its BER reads 0 and no floor reaches it.
+_SIR_BER_ZERO = 2048.0
 
 
 def _mix64(z: int) -> int:
@@ -163,11 +172,34 @@ def _instance_row(
     )
 
 
+def _sir_floor(target_ber: float) -> float:
+    """A SIR such that a state of lower mean SIR has average BER above ``target_ber``.
+
+    x -> Q(sqrt(x)) is convex and decreasing, so by Jensen's inequality a
+    state's average BER is at least ber_of of its mean SIR.  Bisection on
+    ber_of keeps ber_of(floor) >= (target_ber + tail) * (1 + _FLOOR_MARGIN),
+    where tail is the most qfunc's cut-off drops from one BER; the margin
+    covers rounding in ber_of and in the mean.  Returns 0, which rules
+    nothing out, when even ber_of(0) = 1/2 falls short, as for target 1/2.
+    """
+    goal = (target_ber + _Q_CUTOFF_TAIL) * (1.0 + _FLOOR_MARGIN)
+    lo, hi = 0.0, _SIR_BER_ZERO
+    if ber_of(lo) < goal:
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ber_of(mid) >= goal:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _score_stack(
     bsq: NDArray[np.float64],
     loads: NDArray[np.float64],
     sigma2: float,
     target_ber: float,
+    sir_floor: float,
     max_iter: int,
     tol: float,
 ) -> list[tuple[int | None, float, int]]:
@@ -180,6 +212,13 @@ def _score_stack(
     never), the maximum BER of its last state and its step count.
     Rows retire as they stop, and the survivors are compacted in place,
     so ``bsq`` is overwritten.  A row's result equals its run alone.
+
+    ``sir_floor`` is ``_sir_floor(target_ber)``.  Only rows whose mean SIR
+    is at or above it get the exact average-BER test.  The others are
+    provably above the target: Q(sqrt(x)) is convex, so by Jensen their
+    average BER is at least the floor's BER, which exceeds the target by
+    a relative margin of 1e-9 plus what qfunc's cut-off may drop.  So the
+    results are those of the exact test on every row.
     """
     first = np.full(len(loads), -1)
     final_max_ber = np.empty(len(loads))
@@ -189,13 +228,13 @@ def _score_stack(
     step = -1  # steps taken to reach the last recorded state
 
     def record(state):
-        # Rows already at the target skip the BER.
+        # Rows already at the target, or with a mean SIR below the floor, skip the BER.
         nonlocal step
         step += 1
-        waiting = np.flatnonzero(first[rows] < 0)
-        if waiting.size:
-            at_target = ber_of(state[waiting]).mean(axis=1) <= target_ber
-            first[rows[waiting[at_target]]] = step
+        near = np.flatnonzero((first[rows] < 0) & (state.mean(axis=1) >= sir_floor))
+        if near.size:
+            at_target = ber_of(state[near]).mean(axis=1) <= target_ber
+            first[rows[near[at_target]]] = step
 
     record(sir)
     while rows.size:
@@ -235,7 +274,13 @@ def score_instance(
     check_de_budget(max_iter, sir_tol)
     bsq, loads, seed = _instance_row(g, assignment, scen)
     [outcome] = _score_stack(
-        bsq[None].copy(), loads[None], scen.sigma2, target_ber, max_iter, sir_tol
+        bsq[None].copy(),
+        loads[None],
+        scen.sigma2,
+        target_ber,
+        _sir_floor(target_ber),
+        max_iter,
+        sir_tol,
     )
     return InstanceScore(seed, *outcome, index=index)
 
@@ -255,7 +300,7 @@ def _block_rows(L: int) -> int:
 
 
 def _score_block(
-    spec, scen, target_ber, max_iter, sir_tol, block: range
+    spec, scen, target_ber, sir_floor, max_iter, sir_tol, block: range
 ) -> tuple[list[InstanceScore], list[tuple[int, str]]]:
     """Sample instances ``block`` and score them as one stack; returns (scores, failures).
 
@@ -275,7 +320,9 @@ def _score_block(
         else:
             sampled.append((seed, index))
     n = len(sampled)
-    outcomes = _score_stack(bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
+    outcomes = _score_stack(
+        bsq[:n], loads[:n], scen.sigma2, target_ber, sir_floor, max_iter, sir_tol
+    )
     scores = [
         InstanceScore(seed, *outcome, index=index)
         for (seed, index), outcome in zip(sampled, outcomes)
@@ -341,7 +388,9 @@ def ensemble_search(
     blocks = [
         range(start, min(start + rows, spec.n_samples)) for start in range(0, spec.n_samples, rows)
     ]
-    score_block = partial(_score_block, spec, scen, target_ber, max_iter, sir_tol)
+    score_block = partial(
+        _score_block, spec, scen, target_ber, _sir_floor(target_ber), max_iter, sir_tol
+    )
     # Both maps return the blocks in index order.
     if workers == 1:
         outcomes = list(map(score_block, blocks))

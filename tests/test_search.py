@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sccdma import (
     MAX_CHAIN_LENGTH,
@@ -229,14 +232,29 @@ def test_ensemble_search_block_size_invariance(monkeypatch, rows):
     assert sum(score.iterations == 50 for score in report.scores) == 3
 
 
-def test_ensemble_search_schedule_is_frozen(monkeypatch):
-    # The twelve instances fit one block, so search takes as many lockstep
-    # de_step calls as its longest run (50, the budget; three run out) and
-    # advances as many rows as the instances' run_de iterations together.
-    runs = [
+@pytest.fixture(scope="module")
+def runs_32():
+    """run_de table of each SPEC_32 instance under the 50-step budget, by index."""
+    return [
         run_de(to_base_matrix(g), replace(SCEN_32, training_set=a), max_iter=50)
         for g, a in (sample_instance(SPEC_32, index) for index in range(SPEC_32.n_samples))
     ]
+
+
+def _table_score(traj, target):
+    """(iterations_to_target, final_max_ber, iterations) as a run_de table gives them."""
+    reached = np.flatnonzero(traj.avg_ber <= target)
+    return (
+        int(reached[0]) if reached.size else None,
+        float(traj.ber[-1].max()),
+        traj.iterations_run,
+    )
+
+
+def test_ensemble_search_schedule_is_frozen(monkeypatch, runs_32):
+    # The twelve instances fit one block, so search takes as many lockstep
+    # de_step calls as its longest run (50, the budget; three run out) and
+    # advances as many rows as the instances' run_de iterations together.
     stacks = []
     real_de_step = density_evolution.de_step
 
@@ -247,15 +265,92 @@ def test_ensemble_search_schedule_is_frozen(monkeypatch):
     monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
     report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
     assert sum(stacks) == sum(score.iterations for score in report.scores)
-    assert sum(stacks) == sum(traj.iterations_run for traj in runs)
+    assert sum(stacks) == sum(traj.iterations_run for traj in runs_32)
     assert (len(stacks), sum(stacks)) == (50, 539)
     # Each score is what its run_de table gives.
     for score in report.scores:
-        traj = runs[score.index]
-        reached = np.flatnonzero(traj.avg_ber <= TARGET)
-        assert score.iterations_to_target == (int(reached[0]) if reached.size else None)
-        assert score.final_max_ber == float(traj.ber[-1].max())
-        assert score.iterations == traj.iterations_run
+        assert (
+            score.iterations_to_target,
+            score.final_max_ber,
+            score.iterations,
+        ) == _table_score(runs_32[score.index], TARGET)
+
+
+@pytest.mark.parametrize("target", [0.3, 0.1, 2e-2, 2e-3, 1.1e-3, 1e-3])
+def test_scores_equal_their_run_de_tables_at_every_target(runs_32, target):
+    # Each target has its own mean-SIR floor, so rows reach the exact test
+    # at other steps: the twelve reach 0.3 at step 1, 0.1 at step 7 and
+    # 1.1e-3 at steps 26-49; 1e-3 lies below every run's final BER.
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=target, max_iter=50)
+    for score in report.scores:
+        assert (
+            score.iterations_to_target,
+            score.final_max_ber,
+            score.iterations,
+        ) == _table_score(runs_32[score.index], target)
+    g = make_regular(64, 2)
+    scen = replace(_scenario(1.9), training_set=REG_T)
+    regular = score_instance(g, REG_T, scen, target)
+    assert (
+        regular.iterations_to_target,
+        regular.final_max_ber,
+        regular.iterations,
+    ) == _table_score(run_de(to_base_matrix(g), scen), target)
+
+
+@pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
+def test_mean_sir_floor_leaves_few_rows_to_the_exact_test(monkeypatch, rows):
+    # Without the floor every waiting row takes the exact test at each step:
+    # 388 rows, plus the 12 final max-BER rows.  With it, 31 rows do, in any
+    # block size; all twelve instances still reach the target.
+    monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
+    ber_rows = []
+    real_ber_of = search.ber_of
+
+    def counting_ber_of(sir):
+        if np.ndim(sir) == 2:
+            ber_rows.append(len(sir))
+        return real_ber_of(sir)
+
+    monkeypatch.setattr(search, "ber_of", counting_ber_of)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert sum(ber_rows) == 31 + SPEC_32.n_samples
+    assert all(score.iterations_to_target is not None for score in report.scores)
+
+
+# qfunc's cut-off, x / sqrt(2) = 26.5, as a sir: ber_of reads 0 above it.
+_SIR_CUTOFF = 2 * 26.5**2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    scale=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=60).map(lambda k: 1.0 - 2.0**-k),
+    ),
+    spread=st.floats(min_value=0.0, max_value=1.0),
+    shape=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=257),
+)
+# A floor at the cut-off would put two of these three entries past it,
+# where Q is not 0 but ber_of reads 0: the floor must also cover the BER
+# that the cut-off drops.
+@example(target=5e-308, scale=1.0, spread=1e-9, shape=[-3.0, 1.0, 1.0])
+def test_sir_floor_rules_out_only_rows_above_the_target(target, scale, spread, shape):
+    floor = search._sir_floor(target)
+    row = floor * scale * (1.0 + spread * np.array(shape))
+    if row.mean() < floor:
+        assert search.ber_of(row).mean() > target
+
+
+def test_sir_floor_edges():
+    # At target 1/2 no sir qualifies: the floor is 0 and rules nothing out.
+    assert search._sir_floor(0.5) == 0.0
+    # At the smallest targets the floor stops short of the cut-off.
+    for target in (sys.float_info.min, 5e-324):
+        floor = search._sir_floor(target)
+        assert 1400.0 < floor < _SIR_CUTOFF
+        assert search.ber_of(floor) > target
 
 
 @pytest.mark.parametrize("rows", [1, SPEC_32.n_samples])
