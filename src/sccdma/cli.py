@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .coupling import (
@@ -66,9 +67,28 @@ def _load_graph(args):
     return graph, assignment
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, write) -> None:
+    """Create or replace ``path`` as UTF-8, newlines as written, and fill it by ``write(stream)``."""
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        stream.write(text)
+        write(stream)
+
+
+def _threshold_query(
+    args, B: BaseMatrix, training_set: TrainingAssignment, max_iter: int
+) -> ThresholdQuery:
+    """The bisection flags, with ``--snr-db``, ``--alpha-tr`` and ``--tol``, as a query on ``B``."""
+    return ThresholdQuery(
+        B=B,
+        sigma2=sigma2_from_db(args.snr_db),
+        alpha_tr=args.alpha_tr,
+        training_set=training_set,
+        alpha_lo=args.alpha_lo,
+        alpha_hi=args.alpha_hi,
+        alpha_tol=args.alpha_tol,
+        success_ber=args.success_ber,
+        max_iter=max_iter,
+        sir_tol=args.tol,
+    )
 
 
 def cmd_generate(args) -> int:
@@ -77,7 +97,8 @@ def cmd_generate(args) -> int:
     graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, tau, args.seed)
     if members is not None:
         assignment = _training_override(members, args.L)
-    _write_text(args.out, serialize_graph(graph, assignment))
+    text = serialize_graph(graph, assignment)
+    _write_file(args.out, lambda stream: stream.write(text))
     return 0
 
 
@@ -95,10 +116,8 @@ def cmd_de(args) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
     )
-    with open(args.out_trajectory, "w", encoding="utf-8", newline="") as stream:
-        write_trajectory_csv(traj, stream)
-    with open(args.out_summary, "w", encoding="utf-8", newline="") as stream:
-        write_summary_csv(traj, stream)
+    _write_file(args.out_trajectory, partial(write_trajectory_csv, traj))
+    _write_file(args.out_summary, partial(write_summary_csv, traj))
     flag = "true" if traj.converged else "false"
     print(f"converged={flag} iterations={traj.iterations_run}")
     return 0
@@ -112,27 +131,13 @@ def cmd_threshold(args) -> int:
     else:
         graph, assignment = _load_graph(args)
         B = to_base_matrix(graph)
-    query = ThresholdQuery(
-        B=B,
-        sigma2=sigma2_from_db(args.snr_db),
-        alpha_tr=args.alpha_tr,
-        training_set=assignment,
-        alpha_lo=args.alpha_lo,
-        alpha_hi=args.alpha_hi,
-        alpha_tol=args.alpha_tol,
-        success_ber=args.success_ber,
-        max_iter=args.max_iter,
-        sir_tol=args.tol,
-    )
-    result = bp_threshold(query)
+    result = bp_threshold(_threshold_query(args, B, assignment, args.max_iter))
     if args.out_report is None:
         write_threshold_csv(result, sys.stdout)
     else:
-        with open(args.out_report, "w", encoding="utf-8", newline="") as stream:
-            write_threshold_csv(result, stream)
+        _write_file(args.out_report, partial(write_threshold_csv, result))
     if args.out_log is not None:
-        with open(args.out_log, "w", encoding="utf-8", newline="") as stream:
-            write_evaluation_log_csv(result, stream)
+        _write_file(args.out_log, partial(write_evaluation_log_csv, result))
     return 0
 
 
@@ -152,24 +157,23 @@ def cmd_search(args) -> int:
         alpha=args.alpha,
         training_set=_NO_TRAINING,
     )
+    thresholds = None
+    if args.with_thresholds:
+        # Each finalist's bisection replaces this stand-in matrix and training set.
+        thresholds = _threshold_query(args, _UNCOUPLED_B, _NO_TRAINING, args.threshold_max_iter)
     report = ensemble_search(
         spec,
         scen,
         target_ber=args.target_ber,
         max_iter=args.max_iter,
-        with_thresholds=args.with_thresholds,
         workers=args.workers,
         sir_tol=args.tol,
-        alpha_lo=args.alpha_lo,
-        alpha_hi=args.alpha_hi,
-        alpha_tol=args.alpha_tol,
-        success_ber=args.success_ber,
-        threshold_max_iter=args.threshold_max_iter,
+        thresholds=thresholds,
     )
-    with open(args.out_report, "w", encoding="utf-8", newline="") as stream:
-        write_search_csv(report, stream)
+    _write_file(args.out_report, partial(write_search_csv, report))
     if args.out_best is not None:
-        _write_text(args.out_best, serialize_graph(report.best_graph, report.best_assignment))
+        best = serialize_graph(report.best_graph, report.best_assignment)
+        _write_file(args.out_best, lambda stream: stream.write(best))
     for index, message in report.failures:
         print(f"instance {index} failed: {message}", file=sys.stderr)
     return 0

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import IO
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coupling import (
-    BaseMatrix,
     CouplingGraph,
     TrainingAssignment,
     check_band,
@@ -172,6 +171,8 @@ def _instance_row(
     )
 
 
+# Every block and score_instance call of a search asks for the same floor.
+@lru_cache(maxsize=8)
 def _sir_floor(target_ber: float) -> float:
     """A SIR such that a state of lower mean SIR has average BER above ``target_ber``.
 
@@ -199,7 +200,6 @@ def _score_stack(
     loads: NDArray[np.float64],
     sigma2: float,
     target_ber: float,
-    sir_floor: float,
     max_iter: int,
     tol: float,
 ) -> list[tuple[int | None, float, int]]:
@@ -213,18 +213,19 @@ def _score_stack(
     Rows retire as they stop, and the survivors are compacted in place,
     so ``bsq`` is overwritten.  A row's result equals its run alone.
 
-    ``sir_floor`` is ``_sir_floor(target_ber)``.  Only rows whose mean SIR
-    is at or above it get the exact average-BER test.  The others are
-    provably above the target: Q(sqrt(x)) is convex, so by Jensen their
-    average BER is at least the floor's BER, which exceeds the target by
-    a relative margin of 1e-9 plus what qfunc's cut-off may drop.  So the
-    results are those of the exact test on every row.
+    Only rows whose mean SIR is at or above ``_sir_floor(target_ber)`` get
+    the exact average-BER test.  The others are provably above the target:
+    Q(sqrt(x)) is convex, so by Jensen their average BER is at least the
+    floor's BER, which exceeds the target by a relative margin of 1e-9
+    plus what qfunc's cut-off may drop.  So the results are those of the
+    exact test on every row.
     """
     first = np.full(len(loads), -1)
     final_max_ber = np.empty(len(loads))
     iterations = np.empty(len(loads), dtype=np.intp)
     rows = np.arange(len(loads))  # stack row -> block row
     sir = np.zeros(loads.shape)
+    sir_floor = _sir_floor(target_ber)
     step = -1  # steps taken to reach the last recorded state
 
     def record(state):
@@ -262,7 +263,6 @@ def score_instance(
     target_ber: float,
     max_iter: int = 1000,
     sir_tol: float = 1e-8,
-    index: int | None = None,
 ) -> InstanceScore:
     """Run density evolution and record iterations to the average-BER target.
 
@@ -274,15 +274,9 @@ def score_instance(
     check_de_budget(max_iter, sir_tol)
     bsq, loads, seed = _instance_row(g, assignment, scen)
     [outcome] = _score_stack(
-        bsq[None].copy(),
-        loads[None],
-        scen.sigma2,
-        target_ber,
-        _sir_floor(target_ber),
-        max_iter,
-        sir_tol,
+        bsq[None].copy(), loads[None], scen.sigma2, target_ber, max_iter, sir_tol
     )
-    return InstanceScore(seed, *outcome, index=index)
+    return InstanceScore(seed, *outcome)
 
 
 def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
@@ -300,7 +294,7 @@ def _block_rows(L: int) -> int:
 
 
 def _score_block(
-    spec, scen, target_ber, sir_floor, max_iter, sir_tol, block: range
+    spec, scen, target_ber, max_iter, sir_tol, block: range
 ) -> tuple[list[InstanceScore], list[tuple[int, str]]]:
     """Sample instances ``block`` and score them as one stack; returns (scores, failures).
 
@@ -320,9 +314,7 @@ def _score_block(
         else:
             sampled.append((seed, index))
     n = len(sampled)
-    outcomes = _score_stack(
-        bsq[:n], loads[:n], scen.sigma2, target_ber, sir_floor, max_iter, sir_tol
-    )
+    outcomes = _score_stack(bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
     scores = [
         InstanceScore(seed, *outcome, index=index)
         for (seed, index), outcome in zip(sampled, outcomes)
@@ -335,49 +327,30 @@ def ensemble_search(
     scen: SystemScenario,
     target_ber: float = DEFAULT_SUCCESS_BER,
     max_iter: int = 1000,
-    with_thresholds: bool = False,
     workers: int = 1,
     sir_tol: float = 1e-8,
-    alpha_lo: float = 1.0,
-    alpha_hi: float = 2.5,
-    alpha_tol: float = 1e-4,
-    success_ber: float = DEFAULT_SUCCESS_BER,
-    threshold_max_iter: int = 10000,
+    thresholds: ThresholdQuery | None = None,
 ) -> SearchReport:
     """Score every instance of the ensemble and rank them.
 
     Ranking is ascending by iterations to target (unreached last), then
-    final maximum BER, then instance seed.  With ``with_thresholds`` the
-    top 10 instances also get a BP-threshold bisection over
-    (alpha_lo, alpha_hi).  Instances are scored in blocks of consecutive
-    indices, each one lockstep stack of at most 1 MiB of base matrices
-    (32 instances at L = 64), or of one instance where that is larger.
-    The blocks may be spread over up to ``workers`` processes, no more
-    than the samples or the CPUs this process may use, with at most
-    ceil(n_samples / workers) instances each.  The report does not
-    depend on the worker count or the blocks, because every instance
-    derives from its own index and scores alone.
+    final maximum BER, then instance seed.  Given ``thresholds``, each of
+    the top 10 instances is also bisected for its BP threshold with that
+    query, its own base matrix and training set replacing the query's.
+    Instances are scored in blocks of consecutive indices, each one
+    lockstep stack of at most 1 MiB of base matrices (32 instances at
+    L = 64), or of one instance where that is larger.  The blocks may be
+    spread over up to ``workers`` processes, no more than the samples or
+    the CPUs this process may use, with at most ceil(n_samples / workers)
+    instances each.  The report does not depend on the worker count or
+    the blocks, because every instance derives from its own index and
+    scores alone.
     """
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     # Checked before any sampling starts, so bad arguments fail up front.
     _check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
-    if with_thresholds:
-        # Every finalist's query is this one with its own graph and training
-        # set; the uncoupled matrix stands in until then.
-        shared_query = ThresholdQuery(
-            B=BaseMatrix(L=1, bsq=[[1.0]]),
-            sigma2=scen.sigma2,
-            alpha_tr=scen.alpha_tr,
-            training_set=scen.training_set,
-            alpha_lo=alpha_lo,
-            alpha_hi=alpha_hi,
-            alpha_tol=alpha_tol,
-            success_ber=success_ber,
-            max_iter=threshold_max_iter,
-            sir_tol=sir_tol,
-        )
     # The pool starts all its processes at once, so no more than there are
     # samples or CPUs this process may run on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -388,9 +361,7 @@ def ensemble_search(
     blocks = [
         range(start, min(start + rows, spec.n_samples)) for start in range(0, spec.n_samples, rows)
     ]
-    score_block = partial(
-        _score_block, spec, scen, target_ber, _sir_floor(target_ber), max_iter, sir_tol
-    )
+    score_block = partial(_score_block, spec, scen, target_ber, max_iter, sir_tol)
     # Both maps return the blocks in index order.
     if workers == 1:
         outcomes = list(map(score_block, blocks))
@@ -407,11 +378,11 @@ def ensemble_search(
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)
 
-    if with_thresholds:
+    if thresholds is not None:
         finalists = []
         for score in scores[:_THRESHOLD_FINALISTS]:
             g, assignment = sample_instance(spec, score.index)
-            query = replace(shared_query, B=to_base_matrix(g), training_set=assignment)
+            query = replace(thresholds, B=to_base_matrix(g), training_set=assignment)
             try:
                 finalists.append(replace(score, threshold=bp_threshold(query)))
             except BracketError as exc:

@@ -421,6 +421,8 @@ def test_search_deterministic_and_worker_invariant(tmp_path):
         ("--target-ber", 0.7),
         ("--tol", -1),
         ("--with-thresholds", "--alpha-tol", -1),
+        ("--with-thresholds", "--alpha-lo", 3),
+        ("--with-thresholds", "--threshold-max-iter", 0),
     ],
 )
 def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, capsys, flags):
@@ -484,6 +486,7 @@ FROZEN_DIGESTS = {
     "threshold_log.csv": "c9d2755d27e8b40c62a7c88cc4f6a9c49c74a761acafc0fe9fbc33f97a2ed083",
     "search_report.csv": "7a83eb73be1e2cac72feaaf5b3c3668efa044711224b2b29bef1183acde1fcea",
     "search_best.json": "b002105a6293fb2136e3903c3976d7e62d87637c04145662b0d8de3aaa52dde4",
+    "search_thresholds.csv": "dec64251168a5a80f0facb867ae28dee13eb8a8b11352c4630238c8d6575d472",
 }
 
 
@@ -498,6 +501,7 @@ def _write_frozen_outputs(work):
         ("threshold", "--uncoupled", "--snr-db", 10,
          "--out-report", work / "threshold_report.csv", "--out-log", work / "threshold_log.csv"),
         (*_search_args(work / "search_report.csv"), "--out-best", work / "search_best.json"),
+        (*_search_args(work / "search_thresholds.csv"), "--with-thresholds", "--alpha-tol", 1e-2),
     ]
     for argv in argvs:
         code, _, err = run_main(argv)

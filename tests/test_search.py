@@ -153,9 +153,6 @@ def test_ensemble_spec_validation():
         dict(target_ber=0.7),
         dict(max_iter=0),
         dict(sir_tol=-1.0),
-        dict(with_thresholds=True, alpha_tol=-1.0),
-        dict(with_thresholds=True, alpha_lo=3.0),
-        dict(with_thresholds=True, threshold_max_iter=0),
     ],
 )
 def test_ensemble_search_checks_arguments_before_sampling(monkeypatch, bad):
@@ -520,18 +517,24 @@ def test_search_csv_without_thresholds():
 def test_search_csv_with_thresholds_column():
     spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
-    report = ensemble_search(
-        spec,
-        scen,
-        target_ber=TARGET,
-        max_iter=400,
-        with_thresholds=True,
+    # Each finalist's bisection puts its own matrix and training set in the query.
+    query = ThresholdQuery(
+        B=to_base_matrix(make_regular(8, 1)),
+        sigma2=0.1,
+        alpha_tr=1.2,
+        training_set=NO_TRAINING,
         alpha_lo=1.0,
         alpha_hi=2.5,
+        alpha_tol=1e-2,
     )
+    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=query)
     buf = io.StringIO()
     write_search_csv(report, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "index,instance_seed,iterations_to_target,final_max_ber,alpha_bp"
     scored = [s for s in report.scores if s.threshold is not None]
     assert scored, "expected thresholds for finalists"
+    for score in scored:
+        g, a = sample_instance(spec, score.index)
+        alone = bp_threshold(replace(query, B=to_base_matrix(g), training_set=a))
+        assert score.threshold == alone
