@@ -336,7 +336,9 @@ def ensemble_search(
     Ranking is ascending by iterations to target (unreached last), then
     final maximum BER, then instance seed.  Given ``thresholds``, each of
     the top 10 instances is also bisected for its BP threshold with that
-    query, its own base matrix and training set replacing the query's.
+    query, its own base matrix and training set replacing the query's;
+    the query's sigma2, alpha_tr and sir_tol must be those of ``scen``
+    and ``sir_tol``.
     Instances are scored in blocks of consecutive indices, each one
     lockstep stack of at most 1 MiB of base matrices (32 instances at
     L = 64), or of one instance where that is larger.  The blocks may be
@@ -351,6 +353,14 @@ def ensemble_search(
     # Checked before any sampling starts, so bad arguments fail up front.
     _check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
+    if thresholds is not None:
+        # The finalists are bisected in the system they were scored in.
+        bisected_at = (thresholds.sigma2, thresholds.alpha_tr, thresholds.sir_tol)
+        if bisected_at != (scen.sigma2, scen.alpha_tr, sir_tol):
+            raise ValueError(
+                "thresholds must take sigma2, alpha_tr and sir_tol from the search: got "
+                f"{bisected_at}, expected {(scen.sigma2, scen.alpha_tr, sir_tol)}"
+            )
     # The pool starts all its processes at once, so no more than there are
     # samples or CPUs this process may run on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

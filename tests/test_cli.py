@@ -437,6 +437,16 @@ def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+def test_search_reports_a_bad_bisection_flag_before_a_bad_scoring_flag(tmp_path, capsys):
+    # The bisection flags become a query before the search checks its own.
+    out = tmp_path / "report.csv"
+    flags = ("--with-thresholds", "--alpha-lo", 3, "--target-ber", 0.7)
+    assert main([str(arg) for arg in (*_search_args(out), *flags)]) == 2
+    assert capsys.readouterr().err == (
+        "error: inverted bracket: alpha_lo=3.0 must be below alpha_hi=2.5\n"
+    )
+
+
 def test_search_writes_best_graph(tmp_path):
     report = tmp_path / "report.csv"
     best = tmp_path / "best.txt"

@@ -163,6 +163,25 @@ def test_ensemble_search_checks_arguments_before_sampling(monkeypatch, bad):
     assert sampled == []
 
 
+@pytest.mark.parametrize("mismatch", [dict(sigma2=0.09), dict(alpha_tr=1.2), dict(sir_tol=1e-6)])
+def test_ensemble_search_rejects_thresholds_off_the_search_before_sampling(monkeypatch, mismatch):
+    # The finalists are bisected at the search's noise level, alpha_tr and tolerance.
+    sampled = []
+    monkeypatch.setattr(search, "sample_instance", lambda *args: sampled.append(args))
+    query = ThresholdQuery(
+        B=to_base_matrix(make_regular(8, 1)),
+        sigma2=0.1,
+        alpha_tr=1.45,
+        training_set=NO_TRAINING,
+        alpha_lo=1.0,
+        alpha_hi=2.5,
+        sir_tol=1e-8,
+    )
+    with pytest.raises(ValueError, match="thresholds must take sigma2, alpha_tr and sir_tol"):
+        ensemble_search(SPEC_64, _scenario(1.98), thresholds=replace(query, **mismatch))
+    assert sampled == []
+
+
 def test_score_instance_regular_baseline():
     g = make_regular(64, 2)
     score = score_instance(g, REG_T, _scenario(1.9), TARGET)
