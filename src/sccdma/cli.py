@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from pathlib import Path
 
 from .coupling import (
+    _MAX_GRAPH_CHARS,
     BaseMatrix,
+    GraphParseError,
     TrainingAssignment,
     average_load,
     check_training,
@@ -61,7 +62,18 @@ def _training_override(members: tuple[int, ...], L: int) -> TrainingAssignment:
 
 def _load_graph(args):
     """The ``--graph`` file's graph and training set, ``--training-set`` replacing the latter."""
-    graph, assignment = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    chunks, length = [], 0
+    with open(args.graph, encoding="utf-8") as stream:
+        # In chunks: one read of the whole bound would reserve all of it up front.
+        while chunk := stream.read(1 << 20):
+            length += len(chunk)
+            if length > _MAX_GRAPH_CHARS:
+                raise GraphParseError(
+                    f"graph file {args.graph} is longer than {_MAX_GRAPH_CHARS} characters, "
+                    "the most a graph document takes"
+                )
+            chunks.append(chunk)
+    graph, assignment = parse_graph("".join(chunks))
     if args.training_set is not None:
         assignment = _training_override(_parse_training_flag(args.training_set), graph.L)
     return graph, assignment

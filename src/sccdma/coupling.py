@@ -43,6 +43,13 @@ _SEED_LIMIT = 1 << 64
 # costs two L x L matvecs.  At this cap each table takes 32 MiB.
 MAX_CHAIN_LENGTH = 2048
 
+# The longest text serialize_graph can write at MAX_CHAIN_LENGTH: fewer than
+# L^2 edges of at most 48 characters each (the widest, [2047, 2047, 2047],
+# spans five indented lines), and 64 KiB for the header and the training
+# list.  About 201 MB; a longer file is not a graph document.
+_GRAPH_CHARS_PER_EDGE = 48
+_MAX_GRAPH_CHARS = _GRAPH_CHARS_PER_EDGE * MAX_CHAIN_LENGTH**2 + (64 << 10)
+
 
 class GraphError(ValueError):
     """A coupling graph violates a structural requirement."""

@@ -63,6 +63,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _FINALIZE_1 = 0xBF58476D1CE4E5B9
 _FINALIZE_2 = 0x94D049BB133111EB
 _THRESHOLD_FINALISTS = 10
+# 2^16 samples, 327 times the 200-instance search: the ranked report
+# holds a score of about 300 bytes for each, near 19 MiB in all.
+_MAX_SAMPLES = 1 << 16
 # Bytes of stacked bsq per scoring block, 32 instances at L = 64: one stack
 # of every instance would hold all their L x L matrices at once.
 _BLOCK_BYTES = 1 << 20
@@ -113,6 +116,8 @@ class EnsembleSpec:
         check_seed(self.master_seed)
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
+        if self.n_samples > _MAX_SAMPLES:
+            raise ValueError(f"at most {_MAX_SAMPLES} samples, got {self.n_samples}")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,9 @@ ALPHA_MAP_10DB = 1.98267
 # it: depth 2 stacks at most 7 midpoints, and 9 DE states with the bracket ends.
 _SPECULATION_DEPTH = 2
 
+# Cells of the uniform grid on which scalar_fixed_points looks for sign changes.
+_FIXED_POINT_GRID = 4096
+
 
 class BracketError(ValueError):
     """A bisection bracket is inverted or does not straddle the threshold."""
@@ -146,23 +149,6 @@ class ThresholdResult:
         object.__setattr__(self, "de_evaluations", len(self.log))
 
 
-def _check_monotone(log: list[DeEvaluation], new: DeEvaluation) -> None:
-    # Success must not reappear above a recorded failure; bisection cannot
-    # produce that ordering on its own, so a hit means the success flag is
-    # not monotone in alpha and the bracket logic would be meaningless.
-    for prior in log:
-        inverted = (prior.success and not new.success and new.alpha < prior.alpha) or (
-            new.success and not prior.success and new.alpha > prior.alpha
-        )
-        if inverted:
-            bad_lo, bad_hi = sorted((prior, new), key=lambda ev: ev.alpha)
-            raise RuntimeError(
-                "density-evolution success is not monotone over the bracket: "
-                f"failure at alpha={bad_lo.alpha:.9g} below success at "
-                f"alpha={bad_hi.alpha:.9g}; refusing to bisect"
-            )
-
-
 def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[tuple[float, float]]:
     """Brackets that bisection from (lo, hi) may probe within ``depth`` more levels."""
     if hi - lo <= tol:
@@ -173,22 +159,24 @@ def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[tuple[float, 
     return [(lo, hi), *_subtree(lo, mid, tol, depth - 1), *_subtree(mid, hi, tol, depth - 1)]
 
 
-def _bisect(query: ThresholdQuery) -> tuple[tuple[float, float], list[DeEvaluation]]:
-    """Probe the bracket's ends, then bisect it down to ``alpha_tol``; returns it and the log.
+def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
+    """Bisect the bracket on the density-evolution success flag, down to ``alpha_tol``.
 
-    The path probes ``alpha_lo``, then ``alpha_hi``, then the midpoint
-    of the current bracket.  A probe's DE run does not depend on any
-    other probe, so the current probe runs in one lockstep stack with
-    the ends still unlogged and every midpoint of the next
-    ``_SPECULATION_DEPTH`` levels below it (at most 9 states).
-    ``probes`` maps each of those loads to its run's state (sir, steps,
-    row loads) or, once it stops, its evaluation; a load that the path
-    rules out leaves the table and the next level joins it.  Every load
-    is a distinct key: ``ThresholdQuery`` keeps the bracket wider than
-    two float spacings, so each midpoint lies strictly inside it.  The
-    stack steps through the same loop, and stop rule, as
-    :func:`run_de`, and a row's update does not depend on the rows
-    beside it, so the logged evaluations, and the path they take, are
+    Requires success at ``alpha_lo`` and failure at ``alpha_hi``.  Inverted
+    ends, failure below success, raise :class:`RuntimeError`; other ends
+    that do not straddle the threshold raise :class:`BracketError`.  The
+    path probes ``alpha_lo``, then ``alpha_hi``, then the midpoint of the
+    current bracket.  A probe's DE run does not depend on any other probe,
+    so the current probe runs in one lockstep stack with the ends still
+    unlogged and every midpoint of the next ``_SPECULATION_DEPTH`` levels
+    below it (at most 9 states).  ``probes`` maps each of those loads to
+    its run's state (sir, steps, row loads) or, once it stops, its
+    evaluation; a load that the path rules out leaves the table and the
+    next level joins it.  Every load is a distinct key: ``ThresholdQuery``
+    keeps the bracket wider than two float spacings, so each midpoint lies
+    strictly inside it.  The stack steps through the same loop, and stop
+    rule, as :func:`run_de`, and a row's update does not depend on the
+    rows beside it, so the logged evaluations, and the path they take, are
     those of probing one load after another.
     """
     L, tol = query.B.L, query.alpha_tol
@@ -199,7 +187,6 @@ def _bisect(query: ThresholdQuery) -> tuple[tuple[float, float], list[DeEvaluati
     while len(log) < 2 or hi - lo > tol:
         probe = probes.get(ends[len(log)] if len(log) < 2 else 0.5 * (lo + hi))
         if isinstance(probe, DeEvaluation):
-            _check_monotone(log, probe)
             log.append(probe)
             # On bracket ends that straddle the threshold this changes nothing.
             if probe.success:
@@ -208,6 +195,14 @@ def _bisect(query: ThresholdQuery) -> tuple[tuple[float, float], list[DeEvaluati
                 hi = probe.alpha
             if len(log) == 2 and (not log[0].success or log[1].success):
                 lo_ev, hi_ev = log
+                # Only the ends can invert: every later probe lies strictly
+                # between the highest success and the lowest failure logged.
+                if hi_ev.success and not lo_ev.success:
+                    raise RuntimeError(
+                        "density-evolution success is not monotone over the bracket: "
+                        f"failure at alpha={lo_ev.alpha:.9g} below success at "
+                        f"alpha={hi_ev.alpha:.9g}; refusing to bisect"
+                    )
                 raise BracketError(
                     "bracket does not straddle the threshold: "
                     f"alpha_lo={lo_ev.alpha} success={lo_ev.success} "
@@ -242,30 +237,16 @@ def _bisect(query: ThresholdQuery) -> tuple[tuple[float, float], list[DeEvaluati
                 if done[i]
                 else (sir[i], steps[i], loads[i])
             )
-    return (lo, hi), log
-
-
-def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
-    """Bisect the bracket on the density-evolution success flag.
-
-    Requires success at ``alpha_lo`` and failure at ``alpha_hi`` and
-    raises :class:`BracketError` otherwise.  Every probe, the two ends
-    included, runs speculatively in lockstep (see :func:`_bisect`), with
-    the same log as one run after another.
-    """
-    (lo, hi), log = _bisect(query)
     return ThresholdResult(
         bracket=(lo, hi),
-        avg_load_at_threshold=average_load(
-            query.alpha_tr, lo, query.training_set.tau, query.B.L
-        ),
+        avg_load_at_threshold=average_load(query.alpha_tr, lo, query.training_set.tau, L),
         success_ber=query.success_ber,
         alpha_tol=query.alpha_tol,
         log=tuple(log),
     )
 
 
-def scalar_fixed_points(alpha: float, sigma2: float, grid_size: int = 4096) -> list[float]:
+def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
     """All fixed points of the uncoupled recursion x = 1 / (sigma2 + alpha * mmse(x)).
 
     Scans f(x) = x * (sigma2 + alpha * mmse(x)) - 1 for sign changes on
@@ -275,16 +256,14 @@ def scalar_fixed_points(alpha: float, sigma2: float, grid_size: int = 4096) -> l
     """
     check_positive("alpha", alpha)
     check_positive("sigma2", sigma2)
-    if grid_size < 100:
-        raise ValueError(f"grid must have at least 100 cells, got {grid_size}")
 
     def f(x):
         return x * (sigma2 + alpha * mmse_bpsk(x)) - 1.0
 
-    xs = np.linspace(0.0, 1.0 / sigma2, grid_size + 1)
+    xs = np.linspace(0.0, 1.0 / sigma2, _FIXED_POINT_GRID + 1)
     fs = f(xs)
     roots: list[float] = []
-    for i in range(grid_size):
+    for i in range(_FIXED_POINT_GRID):
         a, b = float(xs[i]), float(xs[i + 1])
         fa, fb = float(fs[i]), float(fs[i + 1])
         if fb == 0.0:

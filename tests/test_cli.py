@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sccdma import (
     sw_rewire,
     to_base_matrix,
 )
-from sccdma import search
+from sccdma import cli, search
 from sccdma.cli import main
 
 REG_TRAINING = "61,62,63,0,1,2,3,29,30,31,32,33,34,35"
@@ -336,6 +337,37 @@ def test_de_rejects_huge_graph_with_exit_2(tmp_path):
     assert proc.stderr.startswith("error:") and "at least" in proc.stderr
 
 
+def test_de_reads_a_graph_file_up_to_the_length_bound_and_no_further(
+    tmp_path, monkeypatch, regular_graph_file
+):
+    argv = [
+        "de", "--graph", str(regular_graph_file), "--snr-db", "10",
+        "--alpha-tr", "1.45", "--alpha", "1.9",
+        "--out-trajectory", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.csv"),
+    ]
+    # The bound is about 201 MB; reading a small file must not reserve it.
+    tracemalloc.start()
+    try:
+        code = run_main(argv)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 16 << 20
+    # A file one character over a small bound is named in one line.
+    size = len(regular_graph_file.read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "_MAX_GRAPH_CHARS", size)
+    assert run_main(argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_GRAPH_CHARS", size - 1)
+    (tmp_path / "t.csv").unlink()
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert err == (
+        f"error: graph file {regular_graph_file} is longer than {size - 1} characters, "
+        "the most a graph document takes\n"
+    )
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_de_rejects_huge_multiplicity_with_exit_2(tmp_path):
     # 10**30 does not fit the int64 multiplicity table.
     doc = json.loads(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))
@@ -423,6 +455,7 @@ def test_search_deterministic_and_worker_invariant(tmp_path):
         ("--with-thresholds", "--alpha-tol", -1),
         ("--with-thresholds", "--alpha-lo", 3),
         ("--with-thresholds", "--threshold-max-iter", 0),
+        ("--samples", 65537),
     ],
 )
 def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, capsys, flags):

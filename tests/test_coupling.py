@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sccdma import (
     sw_rewire,
     to_base_matrix,
 )
+from sccdma import coupling
 
 
 def test_make_regular_band_row():
@@ -384,3 +386,24 @@ def test_chain_length_cap_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_graph_text_bound_covers_the_longest_document():
+    # Every entry at its widest, [2046, 2046, 2047] with its comma: at
+    # L = 2W + 2 = MAX_CHAIN_LENGTH a diagonal table of multiplicity
+    # 2W + 1 = 2047 is a legal graph.  The header and a full training
+    # list must fit in what the bound keeps beside the edges.
+    L = MAX_CHAIN_LENGTH
+    g = CouplingGraph(
+        L=L,
+        W=L // 2 - 1,
+        mult=np.diag(np.full(L, L - 1)),
+        provenance=Provenance(p=1 / 3, c=L, seed=(1 << 64) - 1),
+    )
+    text = serialize_graph(g, TrainingAssignment(tuple(range(L)), L))
+    entries = re.findall(r"    \[\n(?:      \d+,?\n){3}    \],?\n", text)
+    assert len(entries) == L
+    assert max(map(len, entries)) <= coupling._GRAPH_CHARS_PER_EDGE
+    assert len(text) - sum(map(len, entries)) <= coupling._MAX_GRAPH_CHARS - (
+        coupling._GRAPH_CHARS_PER_EDGE * L**2
+    )

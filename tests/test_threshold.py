@@ -25,7 +25,6 @@ from sccdma import (
     write_threshold_csv,
 )
 from sccdma import density_evolution, threshold
-from sccdma.threshold import _check_monotone
 
 UNCOUPLED = BaseMatrix(L=1, bsq=np.array([[1.0]]))
 NO_TRAINING = TrainingAssignment((), 0)
@@ -165,12 +164,22 @@ def test_bp_threshold_bracket_errors():
         assert str(info.value) == f"bracket does not straddle the threshold: {ends}"
 
 
-def test_check_monotone_aborts_on_inverted_pair():
-    ok = DeEvaluation(alpha=1.5, converged=True, max_ber=1e-3, iterations=50, success=True)
-    bad = DeEvaluation(alpha=1.4, converged=True, max_ber=0.1, iterations=50, success=False)
-    _check_monotone([ok], DeEvaluation(alpha=1.6, converged=True, max_ber=0.1, iterations=9, success=False))
-    with pytest.raises(RuntimeError, match="not monotone"):
-        _check_monotone([ok], bad)
+def test_bp_threshold_refuses_inverted_ends(monkeypatch):
+    # Mirrored loads make success fall, not rise, with alpha: the run at
+    # alpha_lo = 1.0 sees load 2.5 and fails, the one at alpha_hi = 2.5
+    # sees load 1.0 and succeeds.
+    real_de_step = density_evolution.de_step
+
+    def mirrored_de_step(sir, bsq, sigma2, loads):
+        return real_de_step(sir, bsq, sigma2, 3.5 - loads)
+
+    monkeypatch.setattr(density_evolution, "de_step", mirrored_de_step)
+    with pytest.raises(RuntimeError) as info:
+        bp_threshold(_uncoupled_query())
+    assert str(info.value) == (
+        "density-evolution success is not monotone over the bracket: "
+        "failure at alpha=1 below success at alpha=2.5; refusing to bisect"
+    )
 
 
 def test_coupled_threshold_not_below_uncoupled():
@@ -209,9 +218,7 @@ def test_scalar_fixed_points_high_noise_proxy():
     assert roots[0] == pytest.approx(1.0 / 101.0, abs=2e-5)
 
 
-def test_scalar_fixed_points_grid_validation():
-    with pytest.raises(ValueError):
-        scalar_fixed_points(1.0, 0.1, grid_size=99)
+def test_scalar_fixed_points_validation():
     for alpha, sigma2 in ((float("nan"), 0.1), (1.0, float("inf")), (0.0, 0.1)):
         with pytest.raises(ValueError):
             scalar_fixed_points(alpha, sigma2)
@@ -328,6 +335,11 @@ def test_speculative_bisection_matches_sequential_reference(case):
     reference = _sequential_bp_threshold(query)
     assert result == reference
     assert _csv_bytes(result) == _csv_bytes(reference)
+    # Every probe after the ends lies strictly between the highest success
+    # and the lowest failure, so no later pair can be inverted.
+    assert max(ev.alpha for ev in result.log if ev.success) < min(
+        ev.alpha for ev in result.log if not ev.success
+    )
     if "budget" in case:
         assert any(not ev.converged for ev in result.log)
         assert any(ev.converged and ev.iterations == query.max_iter for ev in result.log)
