@@ -17,6 +17,7 @@ from .coupling import (
     BaseMatrix,
     GraphParseError,
     TrainingAssignment,
+    _rewired_graph,
     average_load,
     check_training,
     parse_graph,
@@ -104,10 +105,13 @@ def _threshold_query(
 
 
 def cmd_generate(args) -> int:
-    members = None if args.training_set is None else _parse_training_flag(args.training_set)
-    tau = args.tau if members is None else len(members)
-    graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, tau, args.seed)
-    if members is not None:
+    if args.training_set is None:
+        graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, args.tau, args.seed)
+    else:
+        members = _parse_training_flag(args.training_set)
+        # The graph's draws all come before the greedy assignment's, which
+        # an explicit set replaces, so none of the latter are made.
+        graph, _ = _rewired_graph(args.L, args.W, args.p, args.c, args.seed)
         assignment = _training_override(members, args.L)
     text = serialize_graph(graph, assignment)
     _write_file(args.out, lambda stream: stream.write(text))

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -255,6 +256,56 @@ def cluster_of(center: int, L: int, W: int) -> set[int]:
     return {(center + j) % L for j in range(-reach, reach + 1)}
 
 
+# One entry per (L, W, c) a process samples from; at L = 2048 an entry
+# holds up to two dense L x L int64 tables' worth of band and edges.
+@lru_cache(maxsize=4)
+def _rewire_plan(
+    L: int, W: int, c: int
+) -> tuple[NDArray[np.int64], tuple[tuple[NDArray[np.int64], NDArray[np.int64]], ...]]:
+    """Seed-free part of :func:`sw_rewire`: the band, and per cluster its edges and targets.
+
+    A cluster's edges are the (l, m) pairs of the band in its window's
+    columns, by ascending variable m, then ascending factor l; its targets
+    are the sorted union of the other clusters' windows.  Every array is
+    read-only, so no caller can change what the next one draws from.
+    """
+    band = _regular_mult(L, W)
+    band.setflags(write=False)
+    centers = [i * (L // c) for i in range(c)]
+    windows = [sorted(cluster_of(center, L, W)) for center in centers]
+    passes = []
+    for i, window in enumerate(windows):
+        others = set().union(*(windows[j] for j in range(c) if j != i))
+        targets = np.asarray(sorted(others), dtype=np.int64)
+        # Transposed so nonzero walks columns in window order, rows ascending.
+        ks, ls = np.nonzero(band[:, window].T)
+        edges = np.column_stack((ls, np.asarray(window, dtype=np.int64)[ks]))
+        edges.setflags(write=False)
+        targets.setflags(write=False)
+        passes.append((edges, targets))
+    return band, tuple(passes)
+
+
+def _rewired_graph(
+    L: int, W: int, p: float, c: int, seed: int
+) -> tuple[CouplingGraph, np.random.Generator]:
+    """The graph :func:`sw_rewire` draws from ``seed``, and the generator after its draws."""
+    check_band(L, W)
+    check_rewiring(L, W, p, c)
+    check_seed(seed)
+
+    rng = np.random.default_rng(seed)
+    band, passes = _rewire_plan(L, W, c)
+    mult = band.copy()
+    for edges, targets in passes:
+        for l, m in edges.tolist():
+            if rng.random() < p:
+                mult[l, m] -= 1
+                mult[targets[rng.integers(targets.size)], m] += 1
+    rewired = CouplingGraph(L=L, W=W, mult=mult, provenance=Provenance(p=p, c=c, seed=seed))
+    return rewired, rng
+
+
 def sw_rewire(
     L: int, W: int, p: float, c: int, tau: int, seed: int
 ) -> tuple[CouplingGraph, TrainingAssignment]:
@@ -265,37 +316,18 @@ def sw_rewire(
     variable nodes is, with probability p, detached from its factor node
     and reattached to a factor node drawn uniformly from the union of
     the other clusters' windows.  Parallel edges accumulate, so column
-    sums stay 2W+1.  Edge order is deterministic: ascending variable
-    index, then ascending factor index, over a snapshot taken before the
-    cluster's pass; each edge consumes one uniform draw, plus a second
-    draw for the target when it fires.  The training assignment is drawn
-    from the same generator afterwards, so a single seed reproduces the
-    whole instance.
+    sums stay 2W+1.  The rewiring rule requires L/c > 4W, so the cluster
+    windows are disjoint; a pass moves edges only within its own
+    window's columns, so every cluster's pass sees exactly the regular
+    band's edges there, each of multiplicity 1.  Draw order is
+    deterministic: clusters by ascending center, then edges by ascending
+    variable index, then ascending factor index; each edge consumes one
+    ``rng.random()`` draw, plus one ``rng.integers(n_targets)`` draw for
+    the target when it fires.  The training assignment is drawn from the
+    same generator afterwards, so a single seed reproduces the whole
+    instance, and the graph does not depend on tau.
     """
-    check_band(L, W)
-    check_rewiring(L, W, p, c)
-    check_seed(seed)
-
-    rng = np.random.default_rng(seed)
-    mult = _regular_mult(L, W)
-    centers = [i * (L // c) for i in range(c)]
-    for i in range(c):
-        others: set[int] = set()
-        for j in range(c):
-            if j != i:
-                others |= cluster_of(centers[j], L, W)
-        targets = np.asarray(sorted(others), dtype=np.int64)
-        window = sorted(cluster_of(centers[i], L, W))
-        snapshot = mult[:, window].copy()
-        for k, m in enumerate(window):
-            column = snapshot[:, k]
-            for l in np.flatnonzero(column).tolist():
-                for _ in range(int(column[l])):
-                    if rng.random() < p:
-                        mult[l, m] -= 1
-                        mult[targets[rng.integers(targets.size)], m] += 1
-
-    rewired = CouplingGraph(L=L, W=W, mult=mult, provenance=Provenance(p=p, c=c, seed=seed))
+    rewired, rng = _rewired_graph(L, W, p, c, seed)
     return rewired, assign_training(rewired, tau, rng)
 
 
@@ -318,11 +350,10 @@ def assign_training(
             break
         level = np.flatnonzero(degrees == d)
         if level.size <= quota:
-            chosen.extend(int(v) for v in level)
+            chosen.extend(level.tolist())
             quota -= int(level.size)
         else:
-            picked = rng.choice(level, size=quota, replace=False)
-            chosen.extend(int(v) for v in picked)
+            chosen.extend(rng.choice(level, size=quota, replace=False).tolist())
             quota = 0
     if quota:
         raise GraphError(
@@ -350,7 +381,11 @@ def average_load(alpha_tr: float, alpha: float, tau: int, L: int) -> float:
     if not 0 <= tau <= L:
         raise ValueError(f"tau must lie in [0, L={L}], got {tau}")
     frac = tau / L
-    return 1.0 / (frac / alpha_tr + (1.0 - frac) / alpha)
+    mean = 1.0 / (frac / alpha_tr + (1.0 - frac) / alpha)
+    # With both loads within rounding of the largest float the sum of
+    # reciprocals is subnormal, and its rounding can overflow the
+    # reciprocal; the exact mean never exceeds the larger load.
+    return mean if mean < math.inf else max(alpha_tr, alpha)
 
 
 def serialize_graph(g: CouplingGraph, assignment: TrainingAssignment) -> str:

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sccdma import (
@@ -105,6 +105,20 @@ def test_generate_explicit_training_set(tmp_path):
     _, assignment = parse_graph(out.read_text())
     assert sorted(assignment.training_set) == [5, 9, 40]
     assert assignment.tau == 3
+
+
+def test_generate_explicit_training_set_draws_no_greedy_assignment(tmp_path):
+    # At p = 1 factor node 1 loses all its edges, so a greedy assignment of
+    # tau = 20 cannot be filled; the explicit set replaces it and is valid.
+    out = tmp_path / "g.txt"
+    code, _, err = run_main([
+        "generate", "--L", 20, "--W", 2, "--p", 1.0, "--c", 2, "--seed", 2,
+        "--training-set", ",".join(map(str, range(20))), "--out", out,
+    ])
+    assert code == 0, err
+    graph, assignment = parse_graph(out.read_text())
+    assert assignment.training_set == tuple(range(20))
+    assert graph == sw_rewire(20, 2, 1.0, 2, 1, 2)[0]
 
 
 def test_generate_tau_and_training_set_are_exclusive(tmp_path):
@@ -317,6 +331,8 @@ def test_threshold_real_flags_fuzz(overrides):
 
 @settings(max_examples=100, deadline=None)
 @given(st.fixed_dictionaries({}, optional={"--alpha-tr": _real(0.5, 3.0), "--alpha": _real(0.5, 3.0)}))
+# The reciprocal of the subnormal sum of reciprocals overflowed to inf.
+@example({"--alpha-tr": 1.7976931348623123e308, "--alpha": 1.797693134862315e308})
 def test_avgload_real_flags_fuzz(overrides):
     _assert_exit_0_finite_or_2(
         ["avgload", "--alpha-tr", 1.45, "--alpha", 1.9, "--tau", 14, "--L", 64], overrides

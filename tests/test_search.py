@@ -31,7 +31,7 @@ from sccdma import (
     to_base_matrix,
     write_search_csv,
 )
-from sccdma import density_evolution, search
+from sccdma import coupling, density_evolution, search
 
 NO_TRAINING = TrainingAssignment((), 0)
 REG_T = TrainingAssignment(
@@ -97,6 +97,45 @@ SERIALIZED_SHA256 = (
 def test_sample_instance_serialized_digest_is_frozen(spec, index, digest):
     text = serialize_graph(*sample_instance(spec, index))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 over serialize_graph(*sample_instance(spec, index)) for every index
+# in turn, frozen from the rewiring that snapshotted each cluster's window
+# and rebuilt the band per instance: W2's spec, a spec in which every edge
+# fires, and a p = 0, c = 1 spec, whose one cluster has no targets.  Each
+# pins the whole random stream its instances draw.
+ENSEMBLE_SHA256 = (
+    (SPEC_64, "a174b769eeebae1f8a97d90530851e7bfc8b0c7e3829c061b5f1e0961cfb8481"),
+    (
+        EnsembleSpec(L=64, W=2, p=1.0, c=4, tau=20, master_seed=5, n_samples=20),
+        "8962bb7bd6e1dd9846e4956160a421017e1acffa058a6587e5a7662c52db6141",
+    ),
+    (
+        EnsembleSpec(L=32, W=2, p=0.0, c=1, tau=6, master_seed=3, n_samples=20),
+        "187f42c2cf38d06ff7cf50a6cc920c5b4598c86f8d334dded9bef8cf08692eef",
+    ),
+)
+
+
+@pytest.mark.parametrize("spec, digest", ENSEMBLE_SHA256)
+def test_sampled_ensemble_digest_is_frozen(spec, digest):
+    h = hashlib.sha256()
+    for index in range(spec.n_samples):
+        h.update(serialize_graph(*sample_instance(spec, index)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_sw_rewire_does_not_depend_on_earlier_calls():
+    # The seed-free part of the rewiring is cached per (L, W, c); no call
+    # may leave anything in it that changes a later one.
+    before = sw_rewire(64, 2, 1.0, 4, 20, 99)
+    for seed in range(5):
+        sw_rewire(64, 2, 1.0, 4, 20, seed)
+        sw_rewire(48, 3, 0.9, 2, 5, seed)
+        sw_rewire(64, 2, 0.5, 2, 14, seed)
+    assert sw_rewire(64, 2, 1.0, 4, 20, 99) == before
+    coupling._rewire_plan.cache_clear()
+    assert sw_rewire(64, 2, 1.0, 4, 20, 99) == before
 
 
 def test_sample_instance_matches_direct_rewire():
@@ -223,6 +262,21 @@ def _csv_bytes(report):
     buf = io.StringIO()
     write_search_csv(report, buf)
     return buf.getvalue().encode()
+
+
+def test_ensemble_search_rewires_through_the_search_module(monkeypatch):
+    # perfbench's tracer times rewiring by rebinding search.sw_rewire.
+    calls = []
+    real_rewire = search.sw_rewire
+
+    def counting_rewire(*args):
+        calls.append(args)
+        return real_rewire(*args)
+
+    monkeypatch.setattr(search, "sw_rewire", counting_rewire)
+    ensemble_search(replace(SPEC_32, n_samples=3), SCEN_32, target_ber=TARGET, max_iter=50)
+    # One call per scored instance, and one more for the best graph.
+    assert len(calls) == 4
 
 
 def test_ensemble_search_worker_count_invariance():
