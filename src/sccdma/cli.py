@@ -86,6 +86,11 @@ def _write_file(path: str, write) -> None:
         write(stream)
 
 
+def _scenario(args, training_set: TrainingAssignment) -> SystemScenario:
+    """The scenario flags ``--snr-db``, ``--alpha-tr`` and ``--alpha``, with ``training_set``."""
+    return SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha, training_set)
+
+
 def _threshold_query(
     args, B: BaseMatrix, training_set: TrainingAssignment, max_iter: int
 ) -> ThresholdQuery:
@@ -120,18 +125,8 @@ def cmd_generate(args) -> int:
 
 def cmd_de(args) -> int:
     graph, assignment = _load_graph(args)
-    scen = SystemScenario(
-        sigma2=sigma2_from_db(args.snr_db),
-        alpha_tr=args.alpha_tr,
-        alpha=args.alpha,
-        training_set=assignment,
-    )
-    traj = run_de(
-        to_base_matrix(graph),
-        scen,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    scen = _scenario(args, assignment)
+    traj = run_de(to_base_matrix(graph), scen, max_iter=args.max_iter, tol=args.tol)
     _write_file(args.out_trajectory, partial(write_trajectory_csv, traj))
     _write_file(args.out_summary, partial(write_summary_csv, traj))
     flag = "true" if traj.converged else "false"
@@ -167,12 +162,7 @@ def cmd_search(args) -> int:
         master_seed=args.seed,
         n_samples=args.samples,
     )
-    scen = SystemScenario(
-        sigma2=sigma2_from_db(args.snr_db),
-        alpha_tr=args.alpha_tr,
-        alpha=args.alpha,
-        training_set=_NO_TRAINING,
-    )
+    scen = _scenario(args, _NO_TRAINING)
     thresholds = None
     if args.with_thresholds:
         # Each finalist's bisection replaces this stand-in matrix and training set.

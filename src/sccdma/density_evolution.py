@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, count, islice, repeat
 from typing import IO
 
 import numpy as np
@@ -456,10 +457,10 @@ def run_de(
     return DeTrajectory(sir=np.vstack(rows), converged=bool(converged))
 
 
-# The CSV number format: 17 significant digits, enough to round-trip.
+# The CSV number format: 17 significant digits, enough to round-trip.  Every
+# table goes through _write_table, with rows that spell their floats in it.
 _FLOAT_FORMAT = "%.17g"
-_TRAJECTORY_ROW = f"%d,%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
-# Trajectory lines formatted per write; bounds the text held at once.
+# Table lines formatted per write; bounds the text held at once.
 _WRITE_LINES = 8192
 
 
@@ -468,27 +469,28 @@ def format_float(value: float) -> str:
     return _FLOAT_FORMAT % value
 
 
+def _write_table(stream: IO[str], header: str, row: str, rows) -> None:
+    """Write ``header``, then ``row % values`` for each of ``rows``, _WRITE_LINES lines a write."""
+    stream.write(header + "\n")
+    line = (row + "\n").__mod__
+    rows = iter(rows)
+    while block := "".join(map(line, islice(rows, _WRITE_LINES))):
+        stream.write(block)
+
+
 def write_trajectory_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     """Long-format per-position table: iteration,position,sir,ber."""
-    stream.write("iteration,position,sir,ber\n")
-    n, L = traj.sir.shape
-    block = max(1, _WRITE_LINES // L)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = zip(
-            np.repeat(np.arange(start, stop), L).tolist(),
-            list(range(L)) * (stop - start),
-            traj.sir[start:stop].ravel().tolist(),
-            traj.ber[start:stop].ravel().tolist(),
-        )
-        stream.write("".join(map(_TRAJECTORY_ROW.__mod__, rows)))
+    # One iteration's row of the tables at a time becomes Python numbers.
+    rows = chain.from_iterable(
+        zip(repeat(i), count(), sir.tolist(), ber.tolist())
+        for i, (sir, ber) in enumerate(zip(traj.sir, traj.ber))
+    )
+    row = f"%d,%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}"
+    _write_table(stream, "iteration,position,sir,ber", row, rows)
 
 
 def write_summary_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     """Per-iteration summary table: iteration,avg_ber,min_ber,argmin_position."""
-    stream.write("iteration,avg_ber,min_ber,argmin_position\n")
-    for i in range(traj.avg_ber.shape[0]):
-        stream.write(
-            f"{i},{format_float(traj.avg_ber[i])},{format_float(traj.min_ber[i])},"
-            f"{int(traj.argmin_position[i])}\n"
-        )
+    columns = (traj.avg_ber.tolist(), traj.min_ber.tolist(), traj.argmin_position.tolist())
+    row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT},%d"
+    _write_table(stream, "iteration,avg_ber,min_ber,argmin_position", row, zip(count(), *columns))

@@ -31,9 +31,11 @@ from .coupling import (
     to_base_matrix,
 )
 from .density_evolution import (
+    _FLOAT_FORMAT,
     _Q_LIMIT,
     SystemScenario,
     _lockstep,
+    _write_table,
     ber_of,
     check_de_budget,
     format_float,
@@ -146,6 +148,7 @@ class SearchReport:
     scores: tuple[InstanceScore, ...]
     best_graph: CouplingGraph
     best_assignment: TrainingAssignment
+    with_thresholds: bool
     failures: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
 
@@ -412,6 +415,7 @@ def ensemble_search(
         scores=tuple(scores),
         best_graph=best_graph,
         best_assignment=best_assignment,
+        with_thresholds=thresholds is not None,
         failures=tuple(failures),
     )
 
@@ -419,18 +423,20 @@ def ensemble_search(
 def write_search_csv(report: SearchReport, stream: IO[str]) -> None:
     """Ranked table: index,instance_seed,iterations_to_target,final_max_ber[,alpha_bp].
 
-    The alpha_bp column appears only when thresholds were computed;
+    The alpha_bp column appears whenever thresholds were requested;
     unreached targets and missing thresholds leave their fields empty.
     """
-    with_thresholds = any(score.threshold is not None for score in report.scores)
-    header = "index,instance_seed,iterations_to_target,final_max_ber"
-    if with_thresholds:
-        header += ",alpha_bp"
-    stream.write(header + "\n")
-    for score in report.scores:
-        iters = "" if score.iterations_to_target is None else str(score.iterations_to_target)
-        row = f"{score.index},{score.instance_seed},{iters},{format_float(score.final_max_ber)}"
-        if with_thresholds:
-            threshold = score.threshold
-            row += "," if threshold is None else f",{format_float(threshold.alpha_bp)}"
-        stream.write(row + "\n")
+    columns = 5 if report.with_thresholds else 4
+    header = ["index", "instance_seed", "iterations_to_target", "final_max_ber", "alpha_bp"]
+    row = ["%s", "%s", "%s", _FLOAT_FORMAT, "%s"]
+    rows = (
+        (
+            score.index,
+            score.instance_seed,
+            "" if score.iterations_to_target is None else score.iterations_to_target,
+            score.final_max_ber,
+            "" if score.threshold is None else format_float(score.threshold.alpha_bp),
+        )[:columns]
+        for score in report.scores
+    )
+    _write_table(stream, ",".join(header[:columns]), ",".join(row[:columns]), rows)

@@ -20,11 +20,12 @@ import numpy as np
 
 from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
+    _FLOAT_FORMAT,
     SystemScenario,
     _lockstep,
+    _write_table,
     ber_of,
     check_de_budget,
-    format_float,
     mmse_bpsk,
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.threshold.run_de)
 )
@@ -284,18 +285,17 @@ def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
 
 def write_threshold_csv(result: ThresholdResult, stream: IO[str]) -> None:
     """Single-row report: alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol."""
-    stream.write("alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol\n")
-    stream.write(
-        f"{format_float(result.alpha_bp)},{format_float(result.bracket[0])},"
-        f"{format_float(result.bracket[1])},{format_float(result.avg_load_at_threshold)},"
-        f"{result.de_evaluations},{format_float(result.success_ber)},"
-        f"{format_float(result.alpha_tol)}\n"
+    values = (
+        result.alpha_bp, *result.bracket, result.avg_load_at_threshold,
+        result.de_evaluations, result.success_ber, result.alpha_tol,
     )
+    header = "alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol"
+    row = ",".join([_FLOAT_FORMAT] * 4 + ["%d"] + [_FLOAT_FORMAT] * 2)
+    _write_table(stream, header, row, [values])
 
 
 def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
-    """Evaluation log in bisection order: alpha,converged,max_ber,iterations."""
-    stream.write("alpha,converged,max_ber,iterations\n")
-    for ev in result.log:
-        flag = "true" if ev.converged else "false"
-        stream.write(f"{format_float(ev.alpha)},{flag},{format_float(ev.max_ber)},{ev.iterations}\n")
+    """Evaluation log in bisection order: alpha,converged (true or false),max_ber,iterations."""
+    rows = ((ev.alpha, str(ev.converged).lower(), ev.max_ber, ev.iterations) for ev in result.log)
+    row = f"{_FLOAT_FORMAT},%s,{_FLOAT_FORMAT},%d"
+    _write_table(stream, "alpha,converged,max_ber,iterations", row, rows)

@@ -611,3 +611,29 @@ def test_search_csv_with_thresholds_column():
         g, a = sample_instance(spec, score.index)
         alone = bp_threshold(replace(query, B=to_base_matrix(g), training_set=a))
         assert score.threshold == alone
+
+
+def test_search_csv_keeps_alpha_bp_column_when_no_finalist_gets_a_threshold():
+    spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
+    scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
+    # Both ends succeed, so no bracket straddles a threshold.
+    query = ThresholdQuery(
+        B=to_base_matrix(make_regular(8, 1)),
+        sigma2=0.1,
+        alpha_tr=1.2,
+        training_set=NO_TRAINING,
+        alpha_lo=1.0,
+        alpha_hi=1.1,
+        alpha_tol=1e-2,
+    )
+    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=query)
+    assert report.with_thresholds
+    assert all(score.threshold is None for score in report.scores)
+    assert [index for index, _ in report.failures] == [score.index for score in report.scores]
+    assert all(message.startswith("BracketError: ") for _, message in report.failures)
+    buf = io.StringIO()
+    write_search_csv(report, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "index,instance_seed,iterations_to_target,final_max_ber,alpha_bp"
+    assert len(lines) == 1 + len(report.scores)
+    assert all(line.count(",") == 4 and line.endswith(",") for line in lines[1:])
