@@ -1,9 +1,13 @@
 """Command-line surface: generate instances, run DE, estimate thresholds, search.
 
 Subcommands: generate | de | threshold | search | avgload.  Data goes to
-files or standard output, diagnostics to standard error; the exit code
-is 0 exactly when no error was reported.  Every run with identical
-flags (seeds included) produces byte-identical output files.
+files or standard output, diagnostics to standard error.  An error ends
+the run with exit code 2 and a message.  Search reports a failed
+instance and still exits 0: each instance it could not sample or bisect
+gets an ``instance N failed:`` line, and the report is written all the
+same.
+Every run with identical flags (seeds included) produces byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -172,7 +176,6 @@ def cmd_search(args) -> int:
         scen,
         target_ber=args.target_ber,
         max_iter=args.max_iter,
-        workers=args.workers,
         sir_tol=args.tol,
         thresholds=thresholds,
     )
@@ -273,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bisection_flags(sea)
     sea.add_argument(
         "--threshold-max-iter", type=int, default=10000, help="iteration budget inside bisection"
-    )
-    sea.add_argument(
-        "--workers", type=int, default=1, help="scoring processes, at most one per sample and CPU"
     )
     sea.add_argument("--out-report", required=True, help="ranked report CSV path")
     sea.add_argument("--out-best", help="graph file for the best instance")

@@ -401,10 +401,15 @@ def de_step(
     return np.matvec(bsq.mT, 1.0 / sigma2_rows), sigma2_rows
 
 
+# Largest iteration budget: _lockstep counts steps in int64 and subtracts
+# them from the budget, which must itself fit with room to spare.
+_MAX_ITER = 1 << 62
+
+
 def check_de_budget(max_iter: int, tol: float) -> None:
-    """Reject an iteration budget below 1 or a sir tolerance that is not positive and finite."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be positive, got {max_iter}")
+    """Reject a budget outside [1, 2^62] or a sir tolerance that is not positive and finite."""
+    if not 1 <= max_iter <= _MAX_ITER:
+        raise ValueError(f"max_iter must lie in [1, {_MAX_ITER}], got {max_iter}")
     check_positive("tol", tol)
 
 

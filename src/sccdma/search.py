@@ -4,17 +4,16 @@ Samples instances of an (L, W, p, c, tau) ensemble, scores each by the
 number of density-evolution iterations until the average BER reaches a
 target, and reports the instances in ranked order.  Instance seeds
 derive from (master_seed, index) through a fixed mixing function, so
-results are reproducible and independent of evaluation order or worker
-count.  Instances are scored in blocks, each one stack of states that
-steps through density evolution in lockstep.
+results are reproducible and independent of evaluation order.
+Instances are scored in blocks, each one stack of states that steps
+through density evolution in lockstep.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -335,7 +334,6 @@ def ensemble_search(
     scen: SystemScenario,
     target_ber: float = DEFAULT_SUCCESS_BER,
     max_iter: int = 1000,
-    workers: int = 1,
     sir_tol: float = 1e-8,
     thresholds: ThresholdQuery | None = None,
 ) -> SearchReport:
@@ -349,15 +347,10 @@ def ensemble_search(
     and ``sir_tol``.
     Instances are scored in blocks of consecutive indices, each one
     lockstep stack of at most 1 MiB of base matrices (32 instances at
-    L = 64), or of one instance where that is larger.  The blocks may be
-    spread over up to ``workers`` processes, no more than the samples or
-    the CPUs this process may use, with at most ceil(n_samples / workers)
-    instances each.  The report does not depend on the worker count or
-    the blocks, because every instance derives from its own index and
-    scores alone.
+    L = 64), or of one instance where that is larger.  The report does
+    not depend on the blocks, because every instance derives from its own
+    index and scores alone.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
     # Checked before any sampling starts, so bad arguments fail up front.
     _check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
@@ -369,27 +362,11 @@ def ensemble_search(
                 "thresholds must take sigma2, alpha_tr and sir_tol from the search: got "
                 f"{bisected_at}, expected {(scen.sigma2, scen.alpha_tr, sir_tol)}"
             )
-    # The pool starts all its processes at once, so no more than there are
-    # samples or CPUs this process may run on.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, spec.n_samples, cpus or 1)
-    # Each block is one pool task, and blocks of at most ceil(n_samples /
-    # workers) instances leave no worker without one.
-    rows = min(_block_rows(spec.L), -(-spec.n_samples // workers))
+    rows = _block_rows(spec.L)
     blocks = [
         range(start, min(start + rows, spec.n_samples)) for start in range(0, spec.n_samples, rows)
     ]
-    score_block = partial(_score_block, spec, scen, target_ber, max_iter, sir_tol)
-    # Both maps return the blocks in index order.
-    if workers == 1:
-        outcomes = list(map(score_block, blocks))
-    else:
-        # Imported here: it loads multiprocessing, which every CLI call would pay for.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(score_block, blocks))
-
+    outcomes = [_score_block(spec, scen, target_ber, max_iter, sir_tol, block) for block in blocks]
     scores = [score for block_scores, _ in outcomes for score in block_scores]
     failures = [failure for _, block_failures in outcomes for failure in block_failures]
     if not scores:

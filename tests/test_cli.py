@@ -267,6 +267,11 @@ def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--tol", "inf"), "tol must"),
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--training-set", 8), "chain length 8"),
         (("avgload", "--alpha-tr", "nan", "--alpha", 1.9, "--tau", 14, "--L", 64), "alpha_tr"),
+        # Budgets past 2^62: 2^63 - 1 and 2^63 used to overflow int64 step counts.
+        (("threshold", "--uncoupled", "--snr-db", 10, "--max-iter", 2**62 + 1), "max_iter"),
+        (("threshold", "--uncoupled", "--snr-db", 10, "--max-iter", 2**63), "max_iter"),
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63 - 1), "max_iter"),
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63), "max_iter"),
     ],
 )
 def test_bad_flag_exits_2_with_one_line_naming_it(tmp_path, argv, named):
@@ -420,8 +425,8 @@ def test_import_leaves_scipy_interpolate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-    # Nor does the CLI load any of scipy (0.3 s, 23 MiB) or the process pool
-    # that only multi-worker searches use.
+    # Nor does the CLI load any of scipy (0.3 s, 23 MiB) or start a process
+    # pool: every subcommand runs in the calling process.
     proc = subprocess.run(
         [
             sys.executable,
@@ -442,23 +447,40 @@ def test_threshold_requires_graph_or_uncoupled():
     assert proc.returncode == 2
 
 
-def _search_args(out, workers=1):
+def _search_args(out):
     return (
         "search", "--L", 32, "--W", 1, "--p", 0.1, "--c", 2, "--tau", 8,
         "--samples", 6, "--seed", 6, "--snr-db", 10,
         "--alpha-tr", 1.2, "--alpha", 1.8, "--max-iter", 80,
-        "--workers", workers, "--out-report", out,
+        "--out-report", out,
     )
 
 
-def test_search_deterministic_and_worker_invariant(tmp_path):
-    reports = []
-    for name, workers in (("r1.csv", 1), ("r2.csv", 1), ("r4.csv", 2)):
-        out = tmp_path / name
-        proc = run_cli(*_search_args(out, workers))
+def test_search_rerun_is_byte_identical(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        report, best = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        proc = run_cli(*_search_args(report), "--out-best", best)
         assert proc.returncode == 0, proc.stderr
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+        outputs.append((report.read_bytes(), best.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_search_reports_failed_bisections_and_exits_0(tmp_path):
+    # Both ends of [1.0, 1.5] succeed on every finalist, so each bisection
+    # fails; search says so per instance and still writes its report.
+    out = tmp_path / "report.csv"
+    flags = ("--with-thresholds", "--alpha-lo", 1.0, "--alpha-hi", 1.5, "--alpha-tol", 1e-2)
+    code, stdout, err = run_main((*_search_args(out), *flags))
+    assert code == 0 and stdout == ""
+    with open(out, newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    assert len(rows) == 6 and all(row["alpha_bp"] == "" for row in rows)
+    lines = err.splitlines()
+    assert sorted(int(line.split()[1]) for line in lines) == sorted(int(row["index"]) for row in rows)
+    assert all(
+        line.startswith("instance ") and " failed: BracketError: " in line for line in lines
+    ), err
 
 
 @pytest.mark.parametrize(
@@ -472,6 +494,8 @@ def test_search_deterministic_and_worker_invariant(tmp_path):
         ("--with-thresholds", "--alpha-lo", 3),
         ("--with-thresholds", "--threshold-max-iter", 0),
         ("--samples", 65537),
+        ("--max-iter", 2**63),
+        ("--with-thresholds", "--threshold-max-iter", 2**62 + 1),
     ],
 )
 def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, capsys, flags):

@@ -428,6 +428,15 @@ def test_run_de_uncoupled_above_threshold_stuck():
     assert traj.ber[-1][0] > 1e-2
 
 
+def test_run_de_uncoupled_converges_at_the_largest_budget():
+    # 2^62, the largest budget check_de_budget accepts, runs as a small one does.
+    traj = run_de(UNCOUPLED, _scenario(1.5, training=NO_TRAINING), max_iter=2**62)
+    assert traj.converged
+    small = run_de(UNCOUPLED, _scenario(1.5, training=NO_TRAINING))
+    assert traj.iterations_run == small.iterations_run
+    assert np.array_equal(traj.sir, small.sir)
+
+
 def test_run_de_regular_coupled_wave():
     # Regular (64, 2) at alpha=1.9: the wave clears every position down to
     # the fixed-point floor (~1.08e-3, just above 1e-3) within 1000

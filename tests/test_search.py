@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 import sys
 from dataclasses import replace
 
@@ -279,16 +278,6 @@ def test_ensemble_search_rewires_through_the_search_module(monkeypatch):
     assert len(calls) == 4
 
 
-def test_ensemble_search_worker_count_invariance():
-    seq = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
-    par = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80, workers=2)
-    assert seq.scores == par.scores
-    assert _csv_bytes(seq) == _csv_bytes(par)
-    assert serialize_graph(seq.best_graph, seq.best_assignment) == serialize_graph(
-        par.best_graph, par.best_assignment
-    )
-
-
 @pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
 def test_ensemble_search_block_size_invariance(monkeypatch, rows):
     # A row's score must not depend on the block it is stacked in.  The
@@ -439,45 +428,6 @@ def test_ensemble_search_records_sampling_failure_and_scores_the_rest(monkeypatc
     report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
     assert report.failures == ((5, "RuntimeError: no instance 5"),)
     assert report.scores == tuple(score for score in clean.scores if score.index != 5)
-
-
-def test_ensemble_search_pool_is_bounded_by_samples_and_cpus(monkeypatch):
-    # The pool starts all max_workers processes at its first submit, so a
-    # huge worker count must be cut down before it gets there.  The stand-in
-    # pool records its size and maps in-process, so no process starts.
-    import concurrent.futures
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
-    scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
-    seq = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80)
-    for usable in (8, 2, 1):
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid, n=usable: set(range(n)), raising=False
-        )
-        report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=80, workers=10**6)
-        assert report.scores == seq.scores
-    # Without an affinity mask the CPU count bounds the pool.
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    ensemble_search(spec, scen, target_ber=TARGET, max_iter=80, workers=10**6)
-    # One usable CPU scores in-process, without a pool.
-    assert sizes == [3, 2, 2]
 
 
 def test_ensemble_search_scores_reproducible_from_seeds():
