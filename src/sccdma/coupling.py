@@ -336,30 +336,24 @@ def assign_training(
 ) -> TrainingAssignment:
     """Greedy largest-degree training assignment.
 
-    Walks factor-degree levels from the maximum downwards, taking whole
-    levels while they fit in the remaining quota and sampling uniformly
-    without replacement from the first level that does not.  Degree-0
-    factor nodes are never selected.
+    Takes every factor node whose degree exceeds the cut, the tau-th
+    largest degree, and fills the quota from the cut level: all of it
+    when it fits, else ``rng.choice`` of its ascending node indices,
+    uniformly without replacement.  Degree-0 nodes are never selected.
     """
     check_quota(tau, g.L)
     degrees = g.factor_degrees()
-    chosen: list[int] = []
-    quota = tau
-    for d in np.unique(degrees)[::-1]:
-        if d == 0 or quota == 0:
-            break
-        level = np.flatnonzero(degrees == d)
-        if level.size <= quota:
-            chosen.extend(level.tolist())
-            quota -= int(level.size)
-        else:
-            chosen.extend(rng.choice(level, size=quota, replace=False).tolist())
-            quota = 0
-    if quota:
+    cut = np.sort(degrees)[-tau]
+    if cut == 0:
         raise GraphError(
-            f"only {tau - quota} factor nodes have nonzero degree, cannot fill tau={tau}"
+            f"only {np.count_nonzero(degrees)} factor nodes have nonzero degree, "
+            f"cannot fill tau={tau}"
         )
-    return TrainingAssignment(training_set=tuple(sorted(chosen)), tau=tau)
+    chosen = np.flatnonzero(degrees > cut).tolist()
+    level = np.flatnonzero(degrees == cut)
+    if level.size > tau - len(chosen):
+        level = rng.choice(level, size=tau - len(chosen), replace=False)
+    return TrainingAssignment(training_set=tuple(sorted(chosen + level.tolist())), tau=tau)
 
 
 def to_base_matrix(g: CouplingGraph) -> BaseMatrix:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from typing import IO
 
@@ -63,14 +62,6 @@ _TRAP_STEP = 0.2
 _TRAP_U = np.arange(-190, 191, dtype=np.float64) * _TRAP_STEP
 _TRAP_SECH = 1.0 / np.cosh(_TRAP_U)
 _TRAP_USQ_HALF = 0.5 * np.square(_TRAP_U)
-
-
-@lru_cache(maxsize=8)
-def _hermgauss(n_nodes: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def sigma2_from_db(snr_db: float) -> float:
@@ -229,7 +220,7 @@ def _mmse_quadrature(x, n_nodes: int = 60):
 
     small = flat < _GH_SWITCH
     if small.any():
-        nodes, weights = _hermgauss(n_nodes)
+        nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
         xs = flat[small][:, None]
         out[small] = 1.0 - (np.tanh(xs + np.sqrt(2.0 * xs) * nodes) @ weights) / _SQRT_PI
 

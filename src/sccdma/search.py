@@ -5,8 +5,9 @@ number of density-evolution iterations until the average BER reaches a
 target, and reports the instances in ranked order.  Instance seeds
 derive from (master_seed, index) through a fixed mixing function, so
 results are reproducible and independent of evaluation order.
-Instances are scored in blocks, each one stack of states that steps
-through density evolution in lockstep.
+One loop samples the instances into a block buffer and scores each
+block as one stack of states that steps through density evolution in
+lockstep; scores are built as the stack's rows retire.
 """
 
 from __future__ import annotations
@@ -203,22 +204,24 @@ def _sir_floor(target_ber: float) -> float:
 
 
 def _score_stack(
+    labels: list[tuple[int | None, int | None]],
     bsq: NDArray[np.float64],
     loads: NDArray[np.float64],
     sigma2: float,
     target_ber: float,
     max_iter: int,
     tol: float,
-) -> list[tuple[int | None, float, int]]:
+) -> list[InstanceScore]:
     """Run DE from zero on a stack of instances in lockstep, one per row.
 
-    Row i of ``bsq`` (n, L, L) and ``loads`` (n, L) is one instance.  Each
-    row keeps only what search reads of its run, and returns it in
-    :class:`InstanceScore`'s field order: the first step at which its
-    average BER is at or below ``target_ber`` (step 0 included; None if
-    never), the maximum BER of its last state and its step count.
-    Rows retire as they stop, and the survivors are compacted in place,
-    so ``bsq`` is overwritten.  A row's result equals its run alone.
+    Row i of ``bsq`` (n, L, L) and ``loads`` (n, L) is the instance with
+    (seed, index) ``labels[i]``.  Each row retires as it stops, into the
+    :class:`InstanceScore` of what search reads of its run: the first
+    step at which its average BER is at or below ``target_ber`` (step 0
+    included; None if never), the maximum BER of its last state and its
+    step count.  The survivors are compacted in place, so ``bsq`` is
+    overwritten.  A row's score equals its run alone; the scores keep the
+    rows' order.
 
     Only rows whose mean SIR is at or above ``_sir_floor(target_ber)`` get
     the exact average-BER test.  The others are provably above the target:
@@ -227,10 +230,9 @@ def _score_stack(
     plus what qfunc's cut-off may drop.  So the results are those of the
     exact test on every row.
     """
-    first = np.full(len(loads), -1)
-    final_max_ber = np.empty(len(loads))
-    iterations = np.empty(len(loads), dtype=np.intp)
-    rows = np.arange(len(loads))  # stack row -> block row
+    first = np.full(len(labels), -1)
+    scores: list = [None] * len(labels)  # each row's score, set as it retires
+    rows = np.arange(len(labels))  # stack row -> block row
     sir = np.zeros(loads.shape)
     sir_floor = _sir_floor(target_ber)
     step = -1  # steps taken to reach the last recorded state
@@ -249,18 +251,17 @@ def _score_stack(
         sir, _, _, done = _lockstep(
             sir, step, bsq[: rows.size], sigma2, loads, max_iter, tol, record
         )
-        final_max_ber[rows[done]] = ber_of(sir[done]).max(axis=1)
-        iterations[rows[done]] = step
+        for row, max_ber in zip(rows[done].tolist(), ber_of(sir[done]).max(axis=1).tolist()):
+            seed, index = labels[row]
+            reached = None if first[row] < 0 else int(first[row])
+            scores[row] = InstanceScore(seed, reached, max_ber, step, index=index)
         keep = np.flatnonzero(~done)
         # keep ascends, so each row moves down onto one that has retired or moved.
         for dst, src in enumerate(keep):
             if dst != src:
                 bsq[dst] = bsq[src]
         sir, loads, rows = sir[keep], loads[keep], rows[keep]
-    return [
-        (None if reached < 0 else int(reached), float(max_ber), int(steps))
-        for reached, max_ber, steps in zip(first, final_max_ber, iterations)
-    ]
+    return scores
 
 
 def score_instance(
@@ -280,10 +281,11 @@ def score_instance(
     _check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
     bsq, loads, seed = _instance_row(g, assignment, scen)
-    [outcome] = _score_stack(
-        bsq[None].copy(), loads[None], scen.sigma2, target_ber, max_iter, sir_tol
+    [score] = _score_stack(
+        [(seed, None)], bsq[None].copy(), loads[None],
+        scen.sigma2, target_ber, max_iter, sir_tol,
     )
-    return InstanceScore(seed, *outcome)
+    return score
 
 
 def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
@@ -298,35 +300,6 @@ def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
 def _block_rows(L: int) -> int:
     """Instances per scoring block: at most _BLOCK_BYTES of stacked bsq, and at least one."""
     return max(1, _BLOCK_BYTES // (L * L * 8))
-
-
-def _score_block(
-    spec, scen, target_ber, max_iter, sir_tol, block: range
-) -> tuple[list[InstanceScore], list[tuple[int, str]]]:
-    """Sample instances ``block`` and score them as one stack; returns (scores, failures).
-
-    An instance that cannot be sampled is recorded as (index, "Type:
-    message") and left out of the stack; the others are still scored.
-    Only the stack outlives sampling, not the graphs.
-    """
-    bsq = np.empty((len(block), spec.L, spec.L))
-    loads = np.empty((len(block), spec.L))
-    sampled, failures = [], []
-    for index in block:
-        row = len(sampled)
-        try:
-            bsq[row], loads[row], seed = _instance_row(*sample_instance(spec, index), scen)
-        except Exception as exc:  # recorded per instance, search continues
-            failures.append((index, f"{type(exc).__name__}: {exc}"))
-        else:
-            sampled.append((seed, index))
-    n = len(sampled)
-    outcomes = _score_stack(bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
-    scores = [
-        InstanceScore(seed, *outcome, index=index)
-        for (seed, index), outcome in zip(sampled, outcomes)
-    ]
-    return scores, failures
 
 
 def ensemble_search(
@@ -345,11 +318,15 @@ def ensemble_search(
     query, its own base matrix and training set replacing the query's;
     the query's sigma2, alpha_tr and sir_tol must be those of ``scen``
     and ``sir_tol``.
-    Instances are scored in blocks of consecutive indices, each one
-    lockstep stack of at most 1 MiB of base matrices (32 instances at
-    L = 64), or of one instance where that is larger.  The report does
-    not depend on the blocks, because every instance derives from its own
-    index and scores alone.
+
+    One loop samples and scores the instances in blocks of consecutive
+    indices.  Each block refills one buffer, allocated once, of at most
+    1 MiB of base matrices (32 instances at L = 64, or one instance where
+    that is larger), and scores it as one lockstep stack.  An instance
+    that cannot be sampled is recorded in ``failures`` as (index, "Type:
+    message"), and the rest of its block is still scored.  The report
+    does not depend on the blocks, because every instance derives from
+    its own index and scores alone.
     """
     # Checked before any sampling starts, so bad arguments fail up front.
     _check_target_ber(target_ber)
@@ -362,13 +339,24 @@ def ensemble_search(
                 "thresholds must take sigma2, alpha_tr and sir_tol from the search: got "
                 f"{bisected_at}, expected {(scen.sigma2, scen.alpha_tr, sir_tol)}"
             )
-    rows = _block_rows(spec.L)
-    blocks = [
-        range(start, min(start + rows, spec.n_samples)) for start in range(0, spec.n_samples, rows)
-    ]
-    outcomes = [_score_block(spec, scen, target_ber, max_iter, sir_tol, block) for block in blocks]
-    scores = [score for block_scores, _ in outcomes for score in block_scores]
-    failures = [failure for _, block_failures in outcomes for failure in block_failures]
+    rows = min(_block_rows(spec.L), spec.n_samples)
+    bsq = np.empty((rows, spec.L, spec.L))
+    loads = np.empty((rows, spec.L))
+    scores, failures = [], []
+    for start in range(0, spec.n_samples, rows):
+        labels = []
+        for index in range(start, min(start + rows, spec.n_samples)):
+            row = len(labels)
+            try:
+                bsq[row], loads[row], seed = _instance_row(*sample_instance(spec, index), scen)
+            except Exception as exc:  # recorded per instance, search continues
+                failures.append((index, f"{type(exc).__name__}: {exc}"))
+            else:
+                labels.append((seed, index))
+        n = len(labels)
+        scores.extend(
+            _score_stack(labels, bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
+        )
     if not scores:
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)

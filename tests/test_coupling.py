@@ -196,6 +196,86 @@ def test_assign_training_quota_validation():
         assign_training(g, 33, np.random.default_rng(0))
 
 
+def _level_walk_training(g, tau, rng):
+    """The per-level greedy walk that assign_training's one cut replaced."""
+    degrees = g.factor_degrees()
+    chosen, quota = [], tau
+    for d in np.unique(degrees)[::-1]:
+        if d == 0 or quota == 0:
+            break
+        level = np.flatnonzero(degrees == d)
+        if level.size <= quota:
+            chosen.extend(level.tolist())
+            quota -= int(level.size)
+        else:
+            chosen.extend(rng.choice(level, size=quota, replace=False).tolist())
+            quota = 0
+    if quota:
+        raise GraphError(
+            f"only {tau - quota} factor nodes have nonzero degree, cannot fill tau={tau}"
+        )
+    return TrainingAssignment(training_set=tuple(sorted(chosen)), tau=tau)
+
+
+def _training_outcome(assign, g, tau, state):
+    """(training set or error text, generator state after) of one assignment from ``state``."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    try:
+        picked = assign(g, tau, rng).training_set
+    except GraphError as exc:
+        picked = str(exc)
+    return picked, rng.bit_generator.state
+
+
+def test_assign_training_cut_matches_level_walk():
+    # Every tau of seeded rewired graphs, p from 0 to 1: the same training
+    # set or error text, and the generator left in the same state.
+    paths = {"drew": 0, "fit": 0, "error": 0}
+    for L, W, c in ((12, 1, 1), (12, 1, 2), (18, 1, 3), (20, 2, 2), (24, 1, 4), (40, 2, 4)):
+        for p in (0.0, 0.05, 0.3, 0.7, 1.0) if c > 1 else (0.0,):
+            for seed in range(4):
+                g, rng = coupling._rewired_graph(L, W, p, c, seed)
+                state = rng.bit_generator.state
+                for tau in range(1, L + 1):
+                    cut = _training_outcome(assign_training, g, tau, state)
+                    assert cut == _training_outcome(_level_walk_training, g, tau, state), (
+                        L, W, c, p, seed, tau
+                    )
+                    if isinstance(cut[0], str):
+                        paths["error"] += 1
+                    else:
+                        paths["drew" if cut[1] != state else "fit"] += 1
+    # The sweep reaches each way out of the rule: 1827, 484 and 17 cases.
+    assert min(paths.values()) > 0, paths
+
+
+def test_assign_training_rejects_too_few_nonzero_degrees():
+    mult = np.zeros((6, 6), dtype=np.int64)
+    mult[0] = 2
+    mult[3] = 1
+    g = CouplingGraph(L=6, W=1, mult=mult)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert assign_training(g, 2, rng).training_set == (0, 3)
+    with pytest.raises(GraphError) as info:
+        assign_training(g, 3, rng)
+    assert str(info.value) == "only 2 factor nodes have nonzero degree, cannot fill tau=3"
+    assert rng.bit_generator.state == state
+
+
+def test_assign_training_exact_fit_draws_nothing():
+    # tau counts every node at or above the cut, so the cut level fills the
+    # quota exactly and the generator is untouched.
+    g, rng = coupling._rewired_graph(64, 2, 0.1, 2, 0)
+    degrees = g.factor_degrees()
+    top = np.flatnonzero(degrees >= 6)  # three nodes of degree 7, three of 6
+    assert 0 < top.size < 64 and np.unique(degrees[top]).size > 1
+    state = rng.bit_generator.state
+    assert assign_training(g, int(top.size), rng).training_set == tuple(top.tolist())
+    assert rng.bit_generator.state == state
+
+
 def test_to_base_matrix_values():
     g = make_regular(32, 2)
     B = to_base_matrix(g)

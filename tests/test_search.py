@@ -412,9 +412,12 @@ def test_sir_floor_edges():
         assert search.ber_of(floor) > target
 
 
-@pytest.mark.parametrize("rows", [1, SPEC_32.n_samples])
+@pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
 def test_ensemble_search_records_sampling_failure_and_scores_the_rest(monkeypatch, rows):
-    # With one-row blocks the failing instance leaves its block empty.
+    # With one-row blocks the failing instance leaves its block empty; with
+    # five-row blocks it is the first of the second block, so that refill
+    # of the reused buffer holds four rows, after a full block and before
+    # the two-row last block.
     clean = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
     monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
     real_sample = search.sample_instance
@@ -437,8 +440,7 @@ def test_ensemble_search_scores_reproducible_from_seeds():
     for score in report.scores:
         g, a = sw_rewire(32, 1, 0.1, 2, 8, score.instance_seed)
         again = score_instance(g, a, scen, TARGET, max_iter=80)
-        assert again.iterations_to_target == score.iterations_to_target
-        assert again.final_max_ber == score.final_max_ber
+        assert again == replace(score, index=None)
 
 
 def test_ensemble_search_ranking_order():
