@@ -113,78 +113,29 @@ def _horner(piece, x):
     return y
 
 
-# qfunc(x) is erfc(a) / 2 at a = x / sqrt(2), with a rounded as in the
-# erfc-based evaluators (scipy.special.erfc) it agrees with.  Following the
-# split of exp(-a^2) in W. J. Cody, Rational Chebyshev approximations for
-# the error function, Math. Comp. 23 (1969), on a grid twice as fine, take
-# s = k/32 <= |a| < s + 1/32:
-#     erfc(|a|) / 2 = P_k(32 (|a| - s)) * exp(-(|a| - s) (|a| + s)),
-# where P_k, of degree 6, interpolates erfc(a) exp(a^2 - s^2) / 2, a smooth
-# and slowly varying function, at the Chebyshev points of piece k, sampled
-# from math.erfc at import.  |a| - s is exact, so the exponent is small and
-# accurate.  Against erfc(a) / 2 at the rounded a the result is within
-# 2.7e-15 relative (checked against 25-digit mpmath on 250k points); the
-# pieces stop at _Q_LIMIT, where Q(x) = 1.1e-307 is about to leave the
-# normal range, and Q is 0 beyond.  The piece index is arithmetic,
-# floor(32 |a|).
-_Q_PIECES_PER_UNIT = 32
-_Q_DEGREE = 6
-_Q_LIMIT = 26.5
-# Elements per block: bounds the gathered coefficients at 9 x 64 KiB.
+# Elements per block: bounds the Python floats that math.erfc maps at once.
 _Q_BLOCK = 8192
-
-
-def _q_pieces() -> NDArray[np.float64]:
-    """Coefficient table of :func:`qfunc` in |a|, laid out for :func:`_horner`."""
-    lo = np.arange(int(_Q_LIMIT * _Q_PIECES_PER_UNIT)) / _Q_PIECES_PER_UNIT
-    erfc = np.vectorize(math.erfc, otypes=[np.float64])
-    table = _piecewise_table(
-        lambda a: 0.5 * erfc(a) * np.exp((a - lo[:, None]) * (a + lo[:, None])),
-        lo,
-        np.full(lo.shape, 1.0 / _Q_PIECES_PER_UNIT),
-        _Q_DEGREE,
-    )
-    # The fit leaves c0 of the first piece within an ulp of Q(0) = 1/2.
-    table[2, 0] = 0.5
-    table.setflags(write=False)
-    return table
-
-
-_Q_PIECES = _q_pieces()
 
 
 def qfunc(x):
     """Gaussian upper-tail probability Q(x) = P(Z > x) = erfc(x / sqrt(2)) / 2.
 
-    numpy only: a piecewise polynomial times one exponential (see the
-    comment above).  Within 2.7e-15 relative of erfc(a) / 2 at the rounded
-    a = x / sqrt(2) wherever Q(x) exceeds 1.1e-307, and 0 for x > 37.47.
-    scipy.special.erfc, which rounds a * a, differs by up to 5.5e-15
-    relative on [-10, 10] and 6e-14 on [-37, 37].  Q(0) = 1/2 exactly,
-    Q(-x) = 1 - Q(x), NaN gives NaN.  Accepts scalars or arrays; an array
-    element and the same value passed as a scalar give identical results.
+    Each element is 0.5 * math.erfc(|x| / sqrt(2)), reflected to 1 - Q(|x|)
+    for x < 0: math.erfc at the rounded argument, within about 2 ulp of the
+    exact value wherever Q(x) is a normal float.  Q(0) = 1/2 exactly, Q
+    reads exactly 0 only where erfc underflows (x above about 38.47), and
+    NaN gives NaN.  Accepts scalars or arrays; an array element and the same
+    value passed as a scalar give identical results.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _Q_BLOCK):
-        out[start : start + _Q_BLOCK] = _qfunc_block(flat[start : start + _Q_BLOCK])
+        a = np.abs(flat[start : start + _Q_BLOCK]) / _SQRT2
+        out[start : start + a.size] = np.fromiter(map(math.erfc, a.tolist()), np.float64, a.size)
+    out *= 0.5
+    np.subtract(1.0, out, out=out, where=flat < 0.0)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _qfunc_block(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    a = np.abs(x / _SQRT2)
-    np.minimum(a, _Q_LIMIT, out=a)
-    # NaN casts to an arbitrary index; clipping keeps it in the table, and
-    # t = NaN carries it to the result.  _Q_LIMIT indexes the zero column.
-    with np.errstate(invalid="ignore"):
-        index = (a * _Q_PIECES_PER_UNIT).astype(np.intp)
-    piece = _Q_PIECES.take(index, axis=1, mode="clip")
-    q = _horner(piece, a)
-    lo = piece[0]
-    q *= np.exp((lo - a) * (a + lo))
-    np.subtract(1.0, q, out=q, where=x < 0.0)
-    return q
 
 
 def _nonnegative(x, name: str) -> NDArray[np.float64]:
@@ -201,6 +152,12 @@ def ber_of(sir):
     The one map from sir to BER.  Accepts scalars or arrays, like :func:`qfunc`.
     """
     return qfunc(np.sqrt(_nonnegative(sir, "signal-to-interference ratio")))
+
+
+def check_target_ber(target_ber: float) -> None:
+    """Reject a BER level outside (0, 0.5]: no BER exceeds ber_of(0) = 1/2."""
+    if not 0.0 < target_ber <= 0.5:
+        raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
 
 
 def _mmse_quadrature(x, n_nodes: int = 60):

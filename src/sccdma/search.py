@@ -13,6 +13,7 @@ lockstep; scores are built as the stack's rows retire.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import IO
@@ -32,12 +33,12 @@ from .coupling import (
 )
 from .density_evolution import (
     _FLOAT_FORMAT,
-    _Q_LIMIT,
     SystemScenario,
     _lockstep,
     _write_table,
     ber_of,
     check_de_budget,
+    check_target_ber,
     format_float,
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.search.run_de)
 )
@@ -74,10 +75,10 @@ _BLOCK_BYTES = 1 << 20
 # The SIR floor's BER exceeds the target by this relative margin, far above
 # the ~1e-13 relative error of ber_of and of a row's mean SIR.
 _FLOOR_MARGIN = 1e-9
-# qfunc reads 0 once x / sqrt(2) reaches _Q_LIMIT, where Q(x) is at most
-# erfc(_Q_LIMIT) / 2 = 1.1e-307: the most it drops from any one BER.
-_Q_CUTOFF_TAIL = math.erfc(_Q_LIMIT) / 2
-# Above 2 _Q_LIMIT^2 = 1404.5, so its BER reads 0 and no floor reaches it.
+# Below the smallest normal float erfc loses its relative accuracy: the
+# most qfunc can drop from any one BER there.
+_Q_CUTOFF_TAIL = sys.float_info.min
+# ber_of reads 0 above sir = 1480.35, where erfc underflows, so no floor reaches it.
 _SIR_BER_ZERO = 2048.0
 
 
@@ -163,11 +164,6 @@ def sample_instance(
     )
 
 
-def _check_target_ber(target_ber: float) -> None:
-    if not 0.0 < target_ber <= 0.5:
-        raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
-
-
 def _instance_row(
     g: CouplingGraph, assignment: TrainingAssignment, scen: SystemScenario
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], int | None]:
@@ -187,7 +183,7 @@ def _sir_floor(target_ber: float) -> float:
     x -> Q(sqrt(x)) is convex and decreasing, so by Jensen's inequality a
     state's average BER is at least ber_of of its mean SIR.  Bisection on
     ber_of keeps ber_of(floor) >= (target_ber + tail) * (1 + _FLOOR_MARGIN),
-    where tail is the most qfunc's cut-off drops from one BER; the margin
+    where tail bounds qfunc's error below the normal range; the margin
     covers rounding in ber_of and in the mean.  Returns 0, which rules
     nothing out, when even ber_of(0) = 1/2 falls short, as for target 1/2.
     """
@@ -227,8 +223,8 @@ def _score_stack(
     the exact average-BER test.  The others are provably above the target:
     Q(sqrt(x)) is convex, so by Jensen their average BER is at least the
     floor's BER, which exceeds the target by a relative margin of 1e-9
-    plus what qfunc's cut-off may drop.  So the results are those of the
-    exact test on every row.
+    plus what qfunc may drop below the normal range.  So the results are
+    those of the exact test on every row.
     """
     first = np.full(len(labels), -1)
     scores: list = [None] * len(labels)  # each row's score, set as it retires
@@ -278,7 +274,7 @@ def score_instance(
     scenario template.  The result equals the instance's score in any
     :func:`ensemble_search` block.
     """
-    _check_target_ber(target_ber)
+    check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
     bsq, loads, seed = _instance_row(g, assignment, scen)
     [score] = _score_stack(
@@ -329,7 +325,7 @@ def ensemble_search(
     its own index and scores alone.
     """
     # Checked before any sampling starts, so bad arguments fail up front.
-    _check_target_ber(target_ber)
+    check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
     if thresholds is not None:
         # The finalists are bisected in the system they were scored in.

@@ -26,12 +26,12 @@ from .density_evolution import (
     _write_table,
     ber_of,
     check_de_budget,
+    check_target_ber,
     mmse_bpsk,
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.threshold.run_de)
 )
 
 __all__ = [
-    "ALPHA_MAP_10DB",
     "DEFAULT_SUCCESS_BER",
     "BracketError",
     "DeEvaluation",
@@ -50,11 +50,6 @@ __all__ = [
 # point sits near 1e-1.  The success level must separate the two
 # plateaus; 2e-3 keeps roughly a 2x margin below and a 40x margin above.
 DEFAULT_SUCCESS_BER = 2e-3
-
-# Optimal-detection load limit at 10 dB: the long-chain limit of coupled BP
-# thresholds, which nothing here computes.  A short trained circular chain can
-# exceed it (regular (64, 2): 1.989044): its training seeds a wave with a short gap to cross.
-ALPHA_MAP_10DB = 1.98267
 
 # Levels of the bisection tree below the current probe that run alongside
 # it: depth 2 stacks at most 7 midpoints, and 9 DE states with the bracket ends.
@@ -106,8 +101,7 @@ class ThresholdQuery:
         # Below two float spacings a midpoint can equal a bracket end and bisection never ends.
         if self.alpha_tol < 2.0 * math.ulp(self.alpha_hi):
             raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
-        if not 0.0 < self.success_ber < 1.0:
-            raise ValueError(f"success level must be a probability, got {self.success_ber}")
+        check_target_ber(self.success_ber)
         single_user = ber_of(1.0 / self.sigma2)
         if single_user >= self.success_ber:
             raise ValueError(

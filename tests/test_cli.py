@@ -272,6 +272,8 @@ def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
         (("threshold", "--uncoupled", "--snr-db", 10, "--max-iter", 2**63), "max_iter"),
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63 - 1), "max_iter"),
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63), "max_iter"),
+        # No BER exceeds 1/2, so a higher level would make success mean convergence.
+        (("threshold", "--uncoupled", "--snr-db", 10, "--success-ber", 0.7), "target BER"),
     ],
 )
 def test_bad_flag_exits_2_with_one_line_naming_it(tmp_path, argv, named):
@@ -563,13 +565,13 @@ def test_de_noise_level_that_overflows_exits_2(tmp_path, recwarn):
 # records the new digests and says so in CHANGES.md.
 FROZEN_DIGESTS = {
     "graph.json": "cce41844fb71967c9d68e63acfb948014cfc097d3f4537a3a77de74e37b5e2fa",
-    "trajectory.csv": "90dfbc75f35c89aa1e30c9e9e784f3e5a0f7b4243e7b88f232b84d2818646ec0",
-    "summary.csv": "d0b3aefe34a7fb31e9a5995d13c8aa3845679e65833579a252adc9ac11d379e3",
+    "trajectory.csv": "ad5f7cd68d8f2ad7f73bb364442d70004ec4df5a579dcf2c3f704f3c16f2f8ed",
+    "summary.csv": "1c95906f0b392d4bfce1704e1317cae3a78b90b05a6ec32ca5b6252b861aa33c",
     "threshold_report.csv": "4ab01061760a76ca50b6ab323c71ff0b8de7ddf78b2dbcd6ed97a1e64ec58c04",
-    "threshold_log.csv": "c9d2755d27e8b40c62a7c88cc4f6a9c49c74a761acafc0fe9fbc33f97a2ed083",
-    "search_report.csv": "7a83eb73be1e2cac72feaaf5b3c3668efa044711224b2b29bef1183acde1fcea",
+    "threshold_log.csv": "e976118840483a09950de89e09b539aa616238a64f6bba9f39ff6ba5e30434a0",
+    "search_report.csv": "ebb616c71098639323d53320c4245953b77a97fb81d70f193add8a2ff579dd4e",
     "search_best.json": "b002105a6293fb2136e3903c3976d7e62d87637c04145662b0d8de3aaa52dde4",
-    "search_thresholds.csv": "dec64251168a5a80f0facb867ae28dee13eb8a8b11352c4630238c8d6575d472",
+    "search_thresholds.csv": "24a4de8ae3e9fb515a4d30b4f5d34d659ffacbb69627c076234272be2c0cbf6a",
 }
 
 

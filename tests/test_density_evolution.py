@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +107,15 @@ def test_qfunc_vectorized_matches_scalar():
     vec = qfunc(xs)
     assert vec.shape == xs.shape
     assert np.array_equal(vec.ravel(), [qfunc(float(x)) for x in xs.ravel()])
+
+
+def test_qfunc_is_math_erfc_at_the_rounded_argument():
+    # Bit for bit, over three blocks, and into erfc's subnormal tail.
+    xs = np.linspace(-40.0, 40.0, 2 * _Q_BLOCK + 1001)
+    upper = [0.5 * math.erfc(abs(x) / math.sqrt(2)) for x in xs.tolist()]
+    expected = [1.0 - q if x < 0.0 else q for x, q in zip(xs.tolist(), upper)]
+    assert 0.0 < min(q for q in upper if q > 0.0) < sys.float_info.min
+    assert np.array_equal(qfunc(xs), expected)
 
 
 def test_ber_of_examples():

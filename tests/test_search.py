@@ -377,8 +377,8 @@ def test_mean_sir_floor_leaves_few_rows_to_the_exact_test(monkeypatch, rows):
     assert all(score.iterations_to_target is not None for score in report.scores)
 
 
-# qfunc's cut-off, x / sqrt(2) = 26.5, as a sir: ber_of reads 0 above it.
-_SIR_CUTOFF = 2 * 26.5**2
+# Where erfc underflows, as a sir: ber_of reads 0 above it.
+_SIR_CUTOFF = 1480.35
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,9 +391,9 @@ _SIR_CUTOFF = 2 * 26.5**2
     spread=st.floats(min_value=0.0, max_value=1.0),
     shape=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=257),
 )
-# A floor at the cut-off would put two of these three entries past it,
-# where Q is not 0 but ber_of reads 0: the floor must also cover the BER
-# that the cut-off drops.
+# A target near the smallest normal float, below which qfunc is accurate
+# only to 5e-324 absolute: the floor keeps sys.float_info.min of BER in
+# hand there, besides the relative margin.
 @example(target=5e-308, scale=1.0, spread=1e-9, shape=[-3.0, 1.0, 1.0])
 def test_sir_floor_rules_out_only_rows_above_the_target(target, scale, spread, shape):
     floor = search._sir_floor(target)
@@ -405,7 +405,7 @@ def test_sir_floor_rules_out_only_rows_above_the_target(target, scale, spread, s
 def test_sir_floor_edges():
     # At target 1/2 no sir qualifies: the floor is 0 and rules nothing out.
     assert search._sir_floor(0.5) == 0.0
-    # At the smallest targets the floor stops short of the cut-off.
+    # At the smallest targets the floor stops short of where ber_of reads 0.
     for target in (sys.float_info.min, 5e-324):
         floor = search._sir_floor(target)
         assert 1400.0 < floor < _SIR_CUTOFF
