@@ -252,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--max-iter", type=int, default=10000, help="iteration budget per run")
     thr.add_argument("--tol", type=float, default=1e-8, help="sir convergence tolerance")
     thr.add_argument("--out-report", help="report CSV path (default: standard output)")
-    thr.add_argument("--out-log", help="evaluation-log CSV path")
+    thr.add_argument(
+        "--out-log",
+        help="evaluation-log CSV path; a certified failure logs converged=false "
+        "with iterations below --max-iter",
+    )
     thr.set_defaults(func=cmd_threshold)
 
     sea = sub.add_parser("search", help="search a small-world ensemble for fast instances")

@@ -17,7 +17,9 @@ converges to the smallest fixed point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, count, islice, repeat
 from typing import IO
 
@@ -158,6 +160,42 @@ def check_target_ber(target_ber: float) -> None:
     """Reject a BER level outside (0, 0.5]: no BER exceeds ber_of(0) = 1/2."""
     if not 0.0 < target_ber <= 0.5:
         raise ValueError(f"target BER must lie in (0, 0.5], got {target_ber}")
+
+
+# The SIR floor's BER exceeds the target by this relative margin, far above
+# the ~1e-13 relative error of ber_of and of a row's mean SIR.
+_FLOOR_MARGIN = 1e-9
+# Below the smallest normal float erfc loses its relative accuracy: the
+# most qfunc can drop from any one BER there.
+_Q_CUTOFF_TAIL = sys.float_info.min
+# ber_of reads 0 above sir = 1480.35, where erfc underflows, so no floor reaches it.
+_SIR_BER_ZERO = 2048.0
+
+
+# Every search block and every bisection probe of a run asks for the same floor.
+@lru_cache(maxsize=8)
+def _sir_floor(target_ber: float) -> float:
+    """A SIR at or below which a BER, or by Jensen an average BER, exceeds ``target_ber``.
+
+    x -> Q(sqrt(x)) is convex and decreasing, so a position at or below
+    the floor has BER above the target, and by Jensen's inequality so
+    does the average BER of a state whose mean SIR lies below it.
+    Bisection on ber_of keeps ber_of(floor) >= (target_ber + tail) *
+    (1 + _FLOOR_MARGIN), where tail bounds qfunc's error below the normal
+    range; the margin covers rounding in ber_of and in the mean.  Returns
+    0, which rules nothing out, when even ber_of(0) = 1/2 falls short, as
+    for target 1/2.
+    """
+    goal = (target_ber + _Q_CUTOFF_TAIL) * (1.0 + _FLOOR_MARGIN)
+    lo, hi = 0.0, _SIR_BER_ZERO
+    if ber_of(lo) < goal:
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ber_of(mid) >= goal:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _mmse_quadrature(x, n_nodes: int = 60):
@@ -361,7 +399,68 @@ def check_de_budget(max_iter: int, tol: float) -> None:
     check_positive("tol", tol)
 
 
-def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None):
+# Failure certificate, which only bisection asks for.  DE from zero is
+# monotone, so a state u with F(u) <= u, F one de_step, bounds every iterate
+# from zero from above: u is a super-solution (Amann, SIAM Review 1976; the
+# order argument of threshold saturation, Yedla, Jian, Nguyen & Pfister,
+# IEEE T-IT 2014).  If some position of u lies at or below the SIR floor of
+# the success BER, every iterate has BER above it there, so the run fails.
+# Every _CERTIFY_EVERY of its own steps, a row whose largest sir change
+# shrank from the step before, by the ratio r < 1, tries the candidates
+# u = s + c * max(delta, 0) / (1 - r) + _CERTIFY_NUDGE, c in _CERTIFY_SCALES:
+# the geometric tail of its increments, overshot c times.
+_CERTIFY_EVERY = 10
+_CERTIFY_SCALES = np.array([1.0, 2.0, 4.0])[:, None, None]
+_CERTIFY_NUDGE = 1e-12
+# A candidate passes if computed F(u) <= u * (1 - _CERTIFY_MARGIN) at every
+# position.  Then every computed iterate s_k from zero stays <= u, by
+# induction from s_0 = 0 < u.  Given s_k <= u:
+# - computed mmse_bpsk is nonincreasing but for rises of at most 3.2e-27,
+#   under 1e-15 of its value there, all at x in [49.2, 49.35] (scans of
+#   adjacent floats); so mmse(s_k) >= mmse(u) * (1 - 1e-15);
+# - the rest of de_step, two matvecs over a nonnegative bsq, the product
+#   with the loads, the add of sigma2 and the reciprocal, is monotone in
+#   exact arithmetic.  Computed, in any summation order, each matvec is
+#   within n roundings of exact, n the most nonzero entries in a row or
+#   column of bsq (a zero term adds no rounding; n <= L), and each scalar
+#   step within one.  So F(s_k) <= F(u) * (1 + eta) with
+#   eta <= (4n + 10) * 2**-53 + 1e-15, 9.1e-13 at n = MAX_CHAIN_LENGTH,
+#   the longest chain a graph builds.  (With no rise, a fixed order and
+#   round-to-nearest keep F(s_k) <= F(u) exactly.);
+# - the test itself rounds u * (1 - margin) by 2 * 2**-53 at most.
+# So s_{k+1} = F(s_k) <= u * (1 - 1e-12 + 2.3e-16) * (1 + 9.1e-13) < u.
+# The floor's BER keeps a relative margin of 1e-9 against erfc's
+# ulp-level error (_FLOOR_MARGIN), so each such s_k has a computed BER
+# above the success level at a position where u is at or below the floor.
+_CERTIFY_MARGIN = 1e-12
+
+
+def _certified(rows, old, new, residual, last, bsq, sigma2, loads, floor):
+    """Those of ``rows`` whose step from ``old`` to ``new`` yields a failure certificate.
+
+    ``residual`` and ``last`` hold each row's largest sir change of this
+    step and of the one before.  All candidates of all rows go through
+    one stacked :func:`de_step` call.
+    """
+    rows = rows[residual[rows] < last[rows]]
+    if not rows.size:
+        return rows
+    ratio = residual[rows] / last[rows]
+    tail = np.maximum(new[rows] - old[rows], 0.0) / (1.0 - ratio)[:, None]
+    u = new[rows] + _CERTIFY_SCALES * tail + _CERTIFY_NUDGE
+    scales = len(_CERTIFY_SCALES)
+    f_u, _ = de_step(
+        u.reshape(-1, u.shape[-1]),
+        bsq if bsq.ndim == 2 else bsq[np.tile(rows, scales)],
+        sigma2,
+        np.tile(loads[rows], (scales, 1)),
+    )
+    proof = (f_u.reshape(u.shape) <= u * (1.0 - _CERTIFY_MARGIN)).all(axis=-1)
+    proof &= (u <= floor).any(axis=-1)
+    return rows[proof.any(axis=0)]
+
+
+def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None, certify=None):
     """Advance DE states in lockstep until one stops; returns (sir, steps, converged, done).
 
     ``sir`` is one state (L,) or a stack (n, L) of states, with ``loads``
@@ -374,21 +473,51 @@ def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None):
     and ``done`` for the states that stopped.  ``record``, if given,
     receives each new state.  This loop is the only caller of
     :func:`de_step`, looked up at call time.
+
+    ``certify``, if given, is (floor, last) for a stack: a SIR floor and
+    each row's largest sir change of its latest step (inf before its
+    first), which the loop overwrites with those of the steps it takes.
+    A row then also stops, not converged and below ``max_iter``, at the
+    step at which a super-solution proves that some position stays at or
+    below the floor (see _CERTIFY_MARGIN).  The step depends on the row
+    alone, not on the rows beside it.
     """
     # A single state's residual is a numpy scalar: float() reads it in
     # about 60 ns, where its .min() takes 2.6 us, a tenth of a step.
     least = float if sir.ndim == 1 else np.ndarray.min
+    certified = []
+    if certify is not None:
+        floor, last = certify
+        # due[t]: the rows whose own step count is a multiple of
+        # _CERTIFY_EVERY after t more steps, counted mod _CERTIFY_EVERY.
+        phase = -steps % _CERTIFY_EVERY
+        due = [np.flatnonzero(phase == t) for t in range(_CERTIFY_EVERY)]
+        previous = last
     for taken in range(1, max_iter - np.max(steps) + 1):
         new, _ = de_step(sir, bsq, sigma2, loads)
         if record is not None:
             record(new)
         residual = abs(new - sir).max(axis=-1)
+        if certify is not None:
+            rows = due[taken % _CERTIFY_EVERY]
+            if rows.size:
+                certified = _certified(
+                    rows, sir, new, residual, previous, bsq, sigma2, loads, floor
+                )
+                if certified.size:
+                    sir = new
+                    break
+            previous = residual
         sir = new
         if least(residual) < tol:
             break
     steps = steps + taken
     converged = residual < tol
-    return sir, steps, converged, converged | (steps == max_iter)
+    done = converged | (steps == max_iter)
+    if certify is not None:
+        last[:] = residual
+        done[certified] = True
+    return sir, steps, converged, done
 
 
 def run_de(

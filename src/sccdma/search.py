@@ -13,9 +13,7 @@ lockstep; scores are built as the stack's rows retire.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -35,6 +33,7 @@ from .density_evolution import (
     _FLOAT_FORMAT,
     SystemScenario,
     _lockstep,
+    _sir_floor,
     _write_table,
     ber_of,
     check_de_budget,
@@ -72,14 +71,6 @@ _MAX_SAMPLES = 1 << 16
 # Bytes of stacked bsq per scoring block, 32 instances at L = 64: one stack
 # of every instance would hold all their L x L matrices at once.
 _BLOCK_BYTES = 1 << 20
-# The SIR floor's BER exceeds the target by this relative margin, far above
-# the ~1e-13 relative error of ber_of and of a row's mean SIR.
-_FLOOR_MARGIN = 1e-9
-# Below the smallest normal float erfc loses its relative accuracy: the
-# most qfunc can drop from any one BER there.
-_Q_CUTOFF_TAIL = sys.float_info.min
-# ber_of reads 0 above sir = 1480.35, where erfc underflows, so no floor reaches it.
-_SIR_BER_ZERO = 2048.0
 
 
 def _mix64(z: int) -> int:
@@ -173,30 +164,6 @@ def _instance_row(
         replace(scen, training_set=assignment).row_loads(g.L),
         None if g.provenance is None else g.provenance.seed,
     )
-
-
-# Every block and score_instance call of a search asks for the same floor.
-@lru_cache(maxsize=8)
-def _sir_floor(target_ber: float) -> float:
-    """A SIR such that a state of lower mean SIR has average BER above ``target_ber``.
-
-    x -> Q(sqrt(x)) is convex and decreasing, so by Jensen's inequality a
-    state's average BER is at least ber_of of its mean SIR.  Bisection on
-    ber_of keeps ber_of(floor) >= (target_ber + tail) * (1 + _FLOOR_MARGIN),
-    where tail bounds qfunc's error below the normal range; the margin
-    covers rounding in ber_of and in the mean.  Returns 0, which rules
-    nothing out, when even ber_of(0) = 1/2 falls short, as for target 1/2.
-    """
-    goal = (target_ber + _Q_CUTOFF_TAIL) * (1.0 + _FLOOR_MARGIN)
-    lo, hi = 0.0, _SIR_BER_ZERO
-    if ber_of(lo) < goal:
-        return lo
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if ber_of(mid) >= goal:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _score_stack(

@@ -6,8 +6,12 @@ is the low-BER (near single-user) one; above it a high-interference
 fixed point appears underneath and captures the recursion.  A run
 "succeeds" when it converges with every position's final BER at or
 below ``success_ber``, and the threshold is bracketed by bisection on
-that flag.  For the uncoupled (L=1) system the scalar fixed-point
-structure can also be enumerated directly as an independent check.
+that flag.  A run that is bound to fail stops early: once a
+super-solution proves that some position's SIR stays at or below the
+floor of ``success_ber``, its failure is certified and it is logged
+unconverged at that step.  For the uncoupled (L=1) system the scalar
+fixed-point structure can also be enumerated directly as an independent
+check.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .density_evolution import (
     _FLOAT_FORMAT,
     SystemScenario,
     _lockstep,
+    _sir_floor,
     _write_table,
     ber_of,
     check_de_budget,
@@ -65,7 +70,12 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class DeEvaluation:
-    """Outcome of one density-evolution run at a given propagation load."""
+    """Outcome of one density-evolution run at a given propagation load.
+
+    ``max_ber`` and ``iterations`` are those of the run's last state: at
+    convergence, at its budget, or at the step at which its failure was
+    certified (unconverged, below the budget).
+    """
 
     alpha: float
     converged: bool
@@ -154,6 +164,15 @@ def _subtree(lo: float, hi: float, tol: float, depth: int) -> list[tuple[float, 
     return [(lo, hi), *_subtree(lo, mid, tol, depth - 1), *_subtree(mid, hi, tol, depth - 1)]
 
 
+def _end_outcome(ev: DeEvaluation, max_iter: int) -> str:
+    """A bracket end's success flag, how its run stopped and its largest BER."""
+    if ev.converged or ev.iterations == max_iter:
+        stop = f"converged={ev.converged}"
+    else:
+        stop = f"failure certified at step {ev.iterations}"
+    return f"success={ev.success} ({stop}, max_ber={ev.max_ber:.6g})"
+
+
 def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     """Bisect the bracket on the density-evolution success flag, down to ``alpha_tol``.
 
@@ -165,16 +184,26 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     so the current probe runs in one lockstep stack with the ends still
     unlogged and every midpoint of the next ``_SPECULATION_DEPTH`` levels
     below it (at most 9 states).  ``probes`` maps each of those loads to
-    its run's state (sir, steps, row loads) or, once it stops, its
-    evaluation; a load that the path rules out leaves the table and the
-    next level joins it.  Every load is a distinct key: ``ThresholdQuery``
-    keeps the bracket wider than two float spacings, so each midpoint lies
-    strictly inside it.  The stack steps through the same loop, and stop
-    rule, as :func:`run_de`, and a row's update does not depend on the
-    rows beside it, so the logged evaluations, and the path they take, are
-    those of probing one load after another.
+    its run's state (sir, steps, row loads, last sir change) or, once it
+    stops, its evaluation; a load that the path rules out leaves the table
+    and the next level joins it.  Every load is a distinct key:
+    ``ThresholdQuery`` keeps the bracket wider than two float spacings, so
+    each midpoint lies strictly inside it.
+
+    The stack steps through the loop of :func:`run_de`, which also stops
+    a probe once a super-solution certifies its failure: some position's
+    SIR stays at or below the floor of ``success_ber`` (see
+    ``density_evolution._CERTIFY_MARGIN``).  Such a probe is logged with
+    ``converged`` false, ``iterations`` its step at the certificate, below
+    ``max_iter``, and ``max_ber`` that of its last state.  A row's update,
+    and its certificate, do not depend on the rows beside it, so the
+    logged evaluations, and the path they take, are those of probing one
+    load after another through the same loop.  A certified failure is a
+    failure of the run to convergence or budget, so the bracket and every
+    probe's success flag are those of one :func:`run_de` per probe.
     """
     L, tol = query.B.L, query.alpha_tol
+    floor = _sir_floor(query.success_ber)
     ends = (query.alpha_lo, query.alpha_hi)
     lo, hi = ends
     log: list[DeEvaluation] = []
@@ -200,10 +229,8 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
                     )
                 raise BracketError(
                     "bracket does not straddle the threshold: "
-                    f"alpha_lo={lo_ev.alpha} success={lo_ev.success} "
-                    f"(converged={lo_ev.converged}, max_ber={lo_ev.max_ber:.6g}), "
-                    f"alpha_hi={hi_ev.alpha} success={hi_ev.success} "
-                    f"(converged={hi_ev.converged}, max_ber={hi_ev.max_ber:.6g})"
+                    f"alpha_lo={lo_ev.alpha} {_end_outcome(lo_ev, query.max_iter)}, "
+                    f"alpha_hi={hi_ev.alpha} {_end_outcome(hi_ev, query.max_iter)}"
                 )
             continue
 
@@ -211,13 +238,14 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
         probes = {
             alpha: probes[alpha]
             if alpha in probes
-            else (np.zeros(L), 0, query.scenario(alpha).row_loads(L))
+            else (np.zeros(L), 0, query.scenario(alpha).row_loads(L), math.inf)
             for alpha in (*ends[len(log) :], *midpoints)
         }
         running = [alpha for alpha, state in probes.items() if not isinstance(state, DeEvaluation)]
-        sir, steps, loads = map(np.array, zip(*(probes[alpha] for alpha in running)))
+        sir, steps, loads, last = map(np.array, zip(*(probes[alpha] for alpha in running)))
         sir, steps, converged, done = _lockstep(
-            sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol
+            sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol,
+            certify=(floor, last),
         )
         max_bers = ber_of(sir).max(axis=1).tolist()
         for i, alpha in enumerate(running):
@@ -230,7 +258,7 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
                     success=bool(converged[i]) and max_bers[i] <= query.success_ber,
                 )
                 if done[i]
-                else (sir[i], steps[i], loads[i])
+                else (sir[i], steps[i], loads[i], last[i])
             )
     return ThresholdResult(
         bracket=(lo, hi),
@@ -289,7 +317,11 @@ def write_threshold_csv(result: ThresholdResult, stream: IO[str]) -> None:
 
 
 def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
-    """Evaluation log in bisection order: alpha,converged (true or false),max_ber,iterations."""
+    """Evaluation log in bisection order: alpha,converged (true or false),max_ber,iterations.
+
+    A certified failure reads converged false with iterations below the
+    budget; see :class:`DeEvaluation`.
+    """
     rows = ((ev.alpha, str(ev.converged).lower(), ev.max_ber, ev.iterations) for ev in result.log)
     row = f"{_FLOAT_FORMAT},%s,{_FLOAT_FORMAT},%d"
     _write_table(stream, "alpha,converged,max_ber,iterations", row, rows)

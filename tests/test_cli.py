@@ -230,11 +230,12 @@ def test_threshold_inverted_bracket_exits_2():
             "alpha_lo=1.0 success=True (converged=True, max_ber=0.000907309), "
             "alpha_hi=1.2 success=True (converged=True, max_ber=0.000939261)",
         ),
-        # alpha_lo needs 1,869 iterations to converge, so it runs out of budget.
+        # alpha_lo needs 1,869 iterations to converge, so it runs out of budget;
+        # alpha_hi's failure is certified at step 10.
         (
             ("--alpha-lo", 1.73077, "--max-iter", 1500),
             "alpha_lo=1.73077 success=False (converged=False, max_ber=0.0811061), "
-            "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+            "alpha_hi=2.5 success=False (failure certified at step 10, max_ber=0.211517)",
         ),
     ],
     ids=["both_succeed", "lo_out_of_budget"],
@@ -568,7 +569,7 @@ FROZEN_DIGESTS = {
     "trajectory.csv": "ad5f7cd68d8f2ad7f73bb364442d70004ec4df5a579dcf2c3f704f3c16f2f8ed",
     "summary.csv": "1c95906f0b392d4bfce1704e1317cae3a78b90b05a6ec32ca5b6252b861aa33c",
     "threshold_report.csv": "4ab01061760a76ca50b6ab323c71ff0b8de7ddf78b2dbcd6ed97a1e64ec58c04",
-    "threshold_log.csv": "e976118840483a09950de89e09b539aa616238a64f6bba9f39ff6ba5e30434a0",
+    "threshold_log.csv": "9c11d05d97ef03b14f373f5200fd92c7d6ca68e247027a57be698b44a609f4ef",
     "search_report.csv": "ebb616c71098639323d53320c4245953b77a97fb81d70f193add8a2ff579dd4e",
     "search_best.json": "b002105a6293fb2136e3903c3976d7e62d87637c04145662b0d8de3aaa52dde4",
     "search_thresholds.csv": "24a4de8ae3e9fb515a4d30b4f5d34d659ffacbb69627c076234272be2c0cbf6a",

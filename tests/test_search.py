@@ -396,7 +396,7 @@ _SIR_CUTOFF = 1480.35
 # hand there, besides the relative margin.
 @example(target=5e-308, scale=1.0, spread=1e-9, shape=[-3.0, 1.0, 1.0])
 def test_sir_floor_rules_out_only_rows_above_the_target(target, scale, spread, shape):
-    floor = search._sir_floor(target)
+    floor = density_evolution._sir_floor(target)
     row = floor * scale * (1.0 + spread * np.array(shape))
     if row.mean() < floor:
         assert search.ber_of(row).mean() > target
@@ -404,10 +404,10 @@ def test_sir_floor_rules_out_only_rows_above_the_target(target, scale, spread, s
 
 def test_sir_floor_edges():
     # At target 1/2 no sir qualifies: the floor is 0 and rules nothing out.
-    assert search._sir_floor(0.5) == 0.0
+    assert density_evolution._sir_floor(0.5) == 0.0
     # At the smallest targets the floor stops short of where ber_of reads 0.
     for target in (sys.float_info.min, 5e-324):
-        floor = search._sir_floor(target)
+        floor = density_evolution._sir_floor(target)
         assert 1400.0 < floor < _SIR_CUTOFF
         assert search.ber_of(floor) > target
 

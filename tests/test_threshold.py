@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sccdma import (
     BaseMatrix,
     BracketError,
     DeEvaluation,
+    SystemScenario,
     ThresholdQuery,
     ThresholdResult,
     TrainingAssignment,
     average_load,
+    ber_of,
     bp_threshold,
     make_regular,
     run_de,
@@ -136,13 +141,15 @@ def test_bp_threshold_log_is_consistent():
 
 
 # Queries whose bracket does not straddle the threshold, and the ends' part of
-# the error.  At a budget of 1,500 the run at alpha_lo = 1.73077 (1,869
-# iterations to converge) stops unconverged.
+# the error.  Both failing ends are certified at step 10, so their max_ber
+# is that of step 10, above the fixed point's (0.15839 and 0.211484).  At
+# a budget of 1,500 the run at alpha_lo = 1.73077 (1,869 iterations to
+# converge) stops unconverged, and no certificate can stop a success.
 BRACKET_ERRORS = {
     "both_fail": (
         dict(alpha_lo=2.0, alpha_hi=2.5),
-        "alpha_lo=2.0 success=False (converged=True, max_ber=0.15839), "
-        "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+        "alpha_lo=2.0 success=False (failure certified at step 10, max_ber=0.15921), "
+        "alpha_hi=2.5 success=False (failure certified at step 10, max_ber=0.211517)",
     ),
     "both_succeed": (
         dict(alpha_lo=1.0, alpha_hi=1.2),
@@ -152,7 +159,7 @@ BRACKET_ERRORS = {
     "lo_out_of_budget": (
         dict(alpha_lo=1.73077, max_iter=1500),
         "alpha_lo=1.73077 success=False (converged=False, max_ber=0.0811061), "
-        "alpha_hi=2.5 success=False (converged=True, max_ber=0.211484)",
+        "alpha_hi=2.5 success=False (failure certified at step 10, max_ber=0.211517)",
     ),
 }
 
@@ -182,18 +189,20 @@ def test_bp_threshold_refuses_inverted_ends(monkeypatch):
     )
 
 
+def _criterion2_query():
+    return ThresholdQuery(
+        B=to_base_matrix(make_regular(64, 2)),
+        sigma2=0.1,
+        alpha_tr=1.45,
+        training_set=REG_T,
+        alpha_lo=1.0,
+        alpha_hi=2.5,
+    )
+
+
 def test_coupled_threshold_not_below_uncoupled():
     uncoupled = bp_threshold(_uncoupled_query())
-    coupled = bp_threshold(
-        ThresholdQuery(
-            B=to_base_matrix(make_regular(64, 2)),
-            sigma2=0.1,
-            alpha_tr=1.45,
-            training_set=REG_T,
-            alpha_lo=1.0,
-            alpha_hi=2.5,
-        )
-    )
+    coupled = bp_threshold(_criterion2_query())
     assert coupled.alpha_bp >= uncoupled.alpha_bp
     assert coupled.alpha_bp == pytest.approx(1.989044189453125, rel=1e-12)
 
@@ -258,15 +267,8 @@ def test_threshold_csv_round_trip():
     assert {ln.split(",")[1] for ln in lines[1:]} <= {"true", "false"}
 
 
-def _sequential_bp_threshold(query):
-    """Reference bisection: one run_de per probe, in path order."""
-
-    def evaluate(alpha):
-        traj = run_de(query.B, query.scenario(alpha), max_iter=query.max_iter, tol=query.sir_tol)
-        max_ber = float(traj.ber[-1].max())
-        success = bool(traj.converged and max_ber <= query.success_ber)
-        return DeEvaluation(alpha, traj.converged, max_ber, traj.iterations_run, success)
-
+def _bisect(query, evaluate):
+    """Bisection along the path alone: ``evaluate(alpha)`` gives each probe's DeEvaluation."""
     log = [evaluate(query.alpha_lo), evaluate(query.alpha_hi)]
     assert log[0].success and not log[1].success
     lo, hi = query.alpha_lo, query.alpha_hi
@@ -284,6 +286,63 @@ def _sequential_bp_threshold(query):
         alpha_tol=query.alpha_tol,
         log=tuple(log),
     )
+
+
+def _sequential_bp_threshold(query):
+    """Verdict oracle: one run_de per probe, to convergence or budget, in path order."""
+
+    def evaluate(alpha):
+        traj = run_de(query.B, query.scenario(alpha), max_iter=query.max_iter, tol=query.sir_tol)
+        max_ber = float(traj.ber[-1].max())
+        success = bool(traj.converged and max_ber <= query.success_ber)
+        return DeEvaluation(alpha, traj.converged, max_ber, traj.iterations_run, success)
+
+    return _bisect(query, evaluate)
+
+
+def _run_rows(bsq, sigma2, loads, floor, max_iter, tol, width, per_row_bsq=False):
+    """Each row's (steps, converged, sir) at its stop under the certified DE loop.
+
+    Rows run ``width`` at a time and a waiting row joins as soon as one
+    retires, so rows that run together have taken different step counts,
+    as in speculative bisection; ``width`` 1 runs each row alone.
+    """
+    n, L = loads.shape
+    stopped = [None] * n
+    waiting = list(range(n))
+    running, states = [], {}
+    while waiting or running:
+        while waiting and len(running) < width:
+            running.append(row := waiting.pop(0))
+            states[row] = (np.zeros(L), 0, math.inf)
+        sir, steps, last = map(np.array, zip(*(states[row] for row in running)))
+        stack_bsq = np.repeat(bsq[None], len(running), axis=0) if per_row_bsq else bsq
+        sir, steps, converged, done = density_evolution._lockstep(
+            sir, steps, stack_bsq, sigma2, loads[running], max_iter, tol, certify=(floor, last)
+        )
+        for i, row in enumerate(running):
+            if done[i]:
+                stopped[row] = (int(steps[i]), bool(converged[i]), sir[i])
+            else:
+                states[row] = (sir[i], steps[i], last[i])
+        running = [row for i, row in enumerate(running) if not done[i]]
+    return stopped
+
+
+def _one_probe_at_a_time(query):
+    """Log oracle: each probe alone through the certified DE loop, in path order."""
+    floor = density_evolution._sir_floor(query.success_ber)
+
+    def evaluate(alpha):
+        loads = query.scenario(alpha).row_loads(query.B.L)[None]
+        [(steps, converged, sir)] = _run_rows(
+            query.B.bsq, query.sigma2, loads, floor, query.max_iter, query.sir_tol, width=1
+        )
+        max_ber = float(ber_of(sir).max())
+        success = converged and max_ber <= query.success_ber
+        return DeEvaluation(alpha, converged, max_ber, steps, success)
+
+    return _bisect(query, evaluate)
 
 
 def _csv_bytes(result):
@@ -317,22 +376,48 @@ SPECULATION_CASES = {
         alpha_hi=2.5,
     ),
     # Probes near the threshold run out of their 60 iterations; one
-    # converges on its last one.
+    # converges on its last one, and one is certified.
     "rewired_budget60": _rewired_query,
-    # 26 probes, far deeper than the stack; eight run out of budget.
+    # 26 probes, far deeper than the stack; six run out of budget (eight
+    # under run_de) and five are certified.
     "uncoupled_fine_budget400": lambda: _uncoupled_query(alpha_tol=1e-7, max_iter=400),
     # A bracket end is the slowest probe on the path: alpha_lo takes 1,869
-    # iterations, alpha_hi 3,362, while the midpoints retire beside it.
+    # iterations while the midpoints retire beside it.
     "slowest_lo_end": lambda: _uncoupled_query(alpha_lo=1.73077),
+    # alpha_hi converges after 3,362 iterations under run_de, but its
+    # failure is certified at step 20.
     "slowest_hi_end": lambda: _uncoupled_query(alpha_hi=1.7308),
 }
+
+
+@pytest.mark.parametrize("case", [*sorted(SPECULATION_CASES), "criterion2"])
+def test_bisection_verdicts_match_run_de_reference(case):
+    # A certified failure is a failure of the run to convergence or budget,
+    # so the path, the report and every probe's verdict are those of run_de.
+    query = SPECULATION_CASES.get(case, _criterion2_query)()
+    result = bp_threshold(query)
+    reference = _sequential_bp_threshold(query)
+    assert (result.bracket, result.alpha_bp, result.de_evaluations) == (
+        reference.bracket, reference.alpha_bp, reference.de_evaluations
+    )
+    assert [(ev.alpha, ev.success) for ev in result.log] == [
+        (ev.alpha, ev.success) for ev in reference.log
+    ]
+    # A probe stops at its certificate or where run_de stops, never later.
+    for ev, ref in zip(result.log, reference.log):
+        assert ev.iterations <= ref.iterations
+        if ev.converged:
+            assert ev == ref
+    if case == "criterion2":
+        assert sum(ev.iterations for ev in result.log) == 16601
+        assert sum(ev.iterations for ev in reference.log) == 28099
 
 
 @pytest.mark.parametrize("case", sorted(SPECULATION_CASES))
 def test_speculative_bisection_matches_sequential_reference(case):
     query = SPECULATION_CASES[case]()
     result = bp_threshold(query)
-    reference = _sequential_bp_threshold(query)
+    reference = _one_probe_at_a_time(query)
     assert result == reference
     assert _csv_bytes(result) == _csv_bytes(reference)
     # Every probe after the ends lies strictly between the highest success
@@ -341,11 +426,36 @@ def test_speculative_bisection_matches_sequential_reference(case):
         ev.alpha for ev in result.log if not ev.success
     )
     if "budget" in case:
-        assert any(not ev.converged for ev in result.log)
+        assert any(not ev.converged and ev.iterations == query.max_iter for ev in result.log)
         assert any(ev.converged and ev.iterations == query.max_iter for ev in result.log)
-    if case.startswith("slowest"):
-        end = result.log[0 if case == "slowest_lo_end" else 1]
-        assert end.iterations == max(ev.iterations for ev in result.log)
+    if case == "slowest_lo_end":
+        assert result.log[0].iterations == max(ev.iterations for ev in result.log)
+    if case == "slowest_hi_end":
+        assert (result.log[1].converged, result.log[1].iterations) == (False, 20)
+
+
+def _count_de_steps(monkeypatch):
+    """Record the rows of each de_step call: (lockstep steps, certificate calls)."""
+    stacks, candidates = [], []
+    real_de_step = density_evolution.de_step
+    real_certified = density_evolution._certified
+    calls = stacks
+
+    def counting_de_step(sir, *args):
+        calls.append(sir.shape[0] if sir.ndim == 2 else 0)
+        return real_de_step(sir, *args)
+
+    def counting_certified(*args):
+        nonlocal calls
+        calls = candidates
+        try:
+            return real_certified(*args)
+        finally:
+            calls = stacks
+
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    monkeypatch.setattr(density_evolution, "_certified", counting_certified)
+    return stacks, candidates
 
 
 def test_speculative_bisection_stacks_bracket_ends_with_midpoints(monkeypatch):
@@ -353,40 +463,99 @@ def test_speculative_bisection_stacks_bracket_ends_with_midpoints(monkeypatch):
     # density_evolution.de_step as a row of one stack; threshold.run_de is
     # never called.  Both names are looked up at call time, so a caller
     # that rebinds either sees every call.
-    runs, stacks = [], []
+    runs = []
     real_run_de = threshold.run_de
-    real_de_step = density_evolution.de_step
 
     def counting_run_de(*args, **kwargs):
         runs.append(args[1].alpha)
         return real_run_de(*args, **kwargs)
 
-    def counting_de_step(sir, *args):
-        stacks.append(sir.shape[0] if sir.ndim == 2 else 0)
-        return real_de_step(sir, *args)
-
     monkeypatch.setattr(threshold, "run_de", counting_run_de)
-    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    stacks, candidates = _count_de_steps(monkeypatch)
     result = bp_threshold(_uncoupled_query())
     assert runs == []
     # The two ends and the 7 midpoints of the first three levels.
     assert 1 <= min(stacks) and max(stacks) == 9
     assert len(stacks) < sum(ev.iterations for ev in result.log)
+    # Three candidates for each row a certificate tries, all in one call.
+    assert candidates and all(n % 3 == 0 and n <= 27 for n in candidates)
 
 
 def test_uncoupled_bisection_schedule_is_frozen(monkeypatch):
     # The work of speculative bisection on the uncoupled query, frozen:
-    # 3,589 lockstep steps, all stacked, that advance 11,672 rows, for
-    # 7,043 iterations on the bisection path.
-    stacks = []
-    real_de_step = density_evolution.de_step
-
-    def counting_de_step(sir, *args):
-        stacks.append(sir.shape[0] if sir.ndim == 2 else 0)
-        return real_de_step(sir, *args)
-
-    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    # 2,502 lockstep steps, all stacked, that advance 7,211 rows, for
+    # 3,669 iterations on the bisection path, and 193 certificate calls of
+    # 1,128 candidate rows.  Without certificates: 3,589 steps, 11,672 rows
+    # and 7,043 path iterations.
+    stacks, candidates = _count_de_steps(monkeypatch)
     result = bp_threshold(_uncoupled_query())
     stacked = [n for n in stacks if n]
-    assert (len(stacks), len(stacked), sum(stacked)) == (3589, 3589, 11672)
-    assert sum(ev.iterations for ev in result.log) == 7043
+    assert (len(stacks), len(stacked), sum(stacked)) == (2502, 2502, 7211)
+    assert (len(candidates), sum(candidates)) == (193, 1128)
+    assert sum(ev.iterations for ev in result.log) == 3669
+
+
+# A budget far past where the runs of the property below converge.
+_LONG_BUDGET = 20000
+
+
+@st.composite
+def _small_systems(draw):
+    """Regular (L, W) with L <= 16, or uncoupled, and 1-6 scenarios of random loads and training."""
+    L = draw(st.sampled_from([1, *range(4, 17)]))
+    if L == 1:
+        B = UNCOUPLED
+    else:
+        B = to_base_matrix(make_regular(L, draw(st.integers(1, (L - 2) // 2))))
+    sigma2 = 10.0 ** (-draw(st.floats(min_value=8.0, max_value=12.0)) / 10.0)
+    load = st.floats(min_value=0.5, max_value=2.6)
+    scenarios = []
+    for _ in range(draw(st.integers(1, 6))):
+        training = draw(st.sets(st.integers(0, L - 1), max_size=L))
+        scenarios.append(SystemScenario(
+            sigma2, draw(load), draw(load), TrainingAssignment(tuple(training), len(training))
+        ))
+    return B, scenarios
+
+
+def _criterion2_probes(alphas):
+    query = _criterion2_query()
+    return query.B, [query.scenario(alpha) for alpha in alphas]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    success_ber=st.sampled_from([1e-3, 2e-3, 1e-2, 5e-2]),
+    width=st.integers(2, 4),
+    per_row_bsq=st.booleans(),
+)
+# Uncoupled probes: alpha = 2.5 is certified at step 10, 1.7308 at step 20.
+@example(
+    system=(UNCOUPLED, [_uncoupled_query().scenario(a) for a in (2.5, 1.0, 1.7308)]),
+    success_ber=2e-3, width=2, per_row_bsq=False,
+)
+# Criterion 2's probes on both sides of its threshold.
+@example(
+    system=_criterion2_probes([1.99, 1.98, 2.2]), success_ber=2e-3, width=2, per_row_bsq=True
+)
+def test_certified_failure_is_a_failure_at_any_budget(system, success_ber, width, per_row_bsq):
+    B, scenarios = system
+    sigma2 = scenarios[0].sigma2
+    loads = np.array([scen.row_loads(B.L) for scen in scenarios])
+    floor = density_evolution._sir_floor(success_ber)
+    budget, tol = 3000, 1e-8
+    stacked = _run_rows(B.bsq, sigma2, loads, floor, budget, tol, width, per_row_bsq)
+    alone = _run_rows(B.bsq, sigma2, loads, floor, budget, tol, width=1)
+    for (steps, converged, sir), row_alone, scen in zip(stacked, alone, scenarios):
+        # A row stops at the same step, in the same state, in any stack.
+        assert steps == row_alone[0] and converged == row_alone[1]
+        assert np.array_equal(sir, row_alone[2])
+        if converged or steps == budget:
+            continue
+        # Certified: every iterate from zero, up to a budget far past
+        # convergence, has some position with BER above the level, so no
+        # budget makes the run a success.
+        run = run_de(B, scen, max_iter=_LONG_BUDGET, tol=tol)
+        assert (run.ber.max(axis=1) > success_ber).all()
+        assert np.array_equal(run.sir[steps], sir)
