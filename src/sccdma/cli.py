@@ -40,6 +40,7 @@ from .density_evolution import (
 from .search import EnsembleSpec, ensemble_search, write_search_csv
 from .threshold import (
     DEFAULT_SUCCESS_BER,
+    BisectionPlan,
     ThresholdQuery,
     bp_threshold,
     write_evaluation_log_csv,
@@ -95,22 +96,10 @@ def _scenario(args, training_set: TrainingAssignment) -> SystemScenario:
     return SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha, training_set)
 
 
-def _threshold_query(
-    args, B: BaseMatrix, training_set: TrainingAssignment, max_iter: int
-) -> ThresholdQuery:
-    """The bisection flags, with ``--snr-db``, ``--alpha-tr`` and ``--tol``, as a query on ``B``."""
-    return ThresholdQuery(
-        B=B,
-        sigma2=sigma2_from_db(args.snr_db),
-        alpha_tr=args.alpha_tr,
-        training_set=training_set,
-        alpha_lo=args.alpha_lo,
-        alpha_hi=args.alpha_hi,
-        alpha_tol=args.alpha_tol,
-        success_ber=args.success_ber,
-        max_iter=max_iter,
-        sir_tol=args.tol,
-    )
+def _plan_fields(args, max_iter: int) -> dict:
+    """The bisection flags and ``max_iter`` as plan fields, which a query checks in its own order."""
+    names = ("alpha_lo", "alpha_hi", "alpha_tol", "success_ber")
+    return {name: getattr(args, name) for name in names} | {"max_iter": max_iter}
 
 
 def cmd_generate(args) -> int:
@@ -146,7 +135,10 @@ def cmd_threshold(args) -> int:
     else:
         graph, assignment = _load_graph(args)
         B = to_base_matrix(graph)
-    result = bp_threshold(_threshold_query(args, B, assignment, args.max_iter))
+    result = bp_threshold(ThresholdQuery(
+        B, sigma2_from_db(args.snr_db), args.alpha_tr, assignment,
+        **_plan_fields(args, args.max_iter), sir_tol=args.tol,
+    ))
     if args.out_report is None:
         write_threshold_csv(result, sys.stdout)
     else:
@@ -169,8 +161,7 @@ def cmd_search(args) -> int:
     scen = _scenario(args, _NO_TRAINING)
     thresholds = None
     if args.with_thresholds:
-        # Each finalist's bisection replaces this stand-in matrix and training set.
-        thresholds = _threshold_query(args, _UNCOUPLED_B, _NO_TRAINING, args.threshold_max_iter)
+        thresholds = BisectionPlan(**_plan_fields(args, args.threshold_max_iter))
     report = ensemble_search(
         spec,
         scen,

@@ -76,34 +76,6 @@ def sigma2_from_db(snr_db: float) -> float:
     return sigma2
 
 
-def _piecewise_table(func, lo, width, degree: int) -> NDArray[np.float64]:
-    """Coefficient table of a piecewise polynomial fitted to ``func``.
-
-    One column per piece [lo, lo + width]: rows are lo, the inverse
-    width, then the monomial coefficients c0..cd in t = (x - lo) / width
-    of the degree-d interpolant of ``func`` at the piece's Chebyshev
-    points.  One extra all-zero column follows the last piece.  ``func``
-    maps an array of points, one row per piece, to the values there.
-    """
-    nodes = np.polynomial.chebyshev.chebpts1(degree + 1)
-    samples = func(lo[:, None] + width[:, None] * (0.5 * (nodes + 1.0)))
-    # Fit in the Chebyshev basis, where the fit is well conditioned, then
-    # convert: column j of to_monomial holds T_j(2t - 1)'s coefficients in t,
-    # integers built exactly by T_{j+1} = 2 (2t - 1) T_j - T_{j-1}.
-    coefs = np.polynomial.chebyshev.chebfit(nodes, samples.T, degree)
-    to_monomial = np.zeros((degree + 1, degree + 1))
-    to_monomial[0, 0] = 1.0
-    to_monomial[:2, 1] = (-1.0, 2.0)
-    for j in range(1, degree):
-        to_monomial[1:, j + 1] = 4.0 * to_monomial[:-1, j]
-        to_monomial[:, j + 1] -= 2.0 * to_monomial[:, j] + to_monomial[:, j - 1]
-    table = np.zeros((degree + 3, lo.size + 1))
-    table[0, :-1] = lo
-    table[1, :-1] = 1.0 / width
-    table[2:, :-1] = to_monomial @ coefs
-    return table
-
-
 def _horner(piece, x):
     """Value at x of the piece(s) given by table column(s) ``piece``."""
     t = (x - piece[0]) * piece[1]
@@ -248,14 +220,29 @@ _MMSE_UPPER.setflags(write=False)
 
 
 def _mmse_pieces() -> NDArray[np.float64]:
-    """Coefficient table of :func:`mmse_bpsk`, laid out by :func:`_piecewise_table`.
+    """Coefficient table of :func:`mmse_bpsk`: column i is piece (lo, _MMSE_UPPER[i]].
 
-    Piece i covers (lo, _MMSE_UPPER[i]] (the first one includes 0) and
-    the extra all-zero column covers x > MMSE_CUTOFF, so
-    ``_MMSE_UPPER.searchsorted(x)`` indexes the table directly.
+    Rows are lo, the inverse width, then the monomial coefficients c0..cd
+    in t = (x - lo) / width of the degree-d interpolant of the quadrature
+    at the piece's Chebyshev points; the first piece includes 0.  An extra
+    all-zero column covers x > MMSE_CUTOFF, so ``_MMSE_UPPER.searchsorted(x)``
+    indexes the table directly.
     """
     lo = np.append(0.0, _MMSE_UPPER[:-1])
-    table = _piecewise_table(_mmse_quadrature, lo, _MMSE_UPPER - lo, _MMSE_DEGREE)
+    width = _MMSE_UPPER - lo
+    nodes = np.polynomial.chebyshev.chebpts1(_MMSE_DEGREE + 1)
+    samples = _mmse_quadrature(lo[:, None] + width[:, None] * (0.5 * (nodes + 1.0)))
+    # Fit in the Chebyshev basis, where the fit is well conditioned, then
+    # convert: column j of to_monomial holds T_j(2t - 1)'s coefficients in t,
+    # integers built exactly by T_{j+1} = 2 (2t - 1) T_j - T_{j-1}.
+    coefs = np.polynomial.chebyshev.chebfit(nodes, samples.T, _MMSE_DEGREE)
+    to_monomial = np.zeros((_MMSE_DEGREE + 1, _MMSE_DEGREE + 1))
+    to_monomial[0, 0] = 1.0
+    to_monomial[:2, 1] = (-1.0, 2.0)
+    for j in range(1, _MMSE_DEGREE):
+        to_monomial[1:, j + 1] = 4.0 * to_monomial[:-1, j]
+        to_monomial[:, j + 1] -= 2.0 * to_monomial[:, j] + to_monomial[:, j - 1]
+    table = np.pad(np.vstack((lo, 1.0 / width, to_monomial @ coefs)), ((0, 0), (0, 1)))
     # The fit leaves c0 of the first piece within an ulp of mmse(0) = 1;
     # pinning it keeps every value at or below 1.
     table[2, 0] = 1.0
@@ -471,8 +458,8 @@ def _lockstep(sir, steps, bsq, sigma2, loads, max_iter, tol, record=None, certif
     after ``max_iter`` steps.  Returns, after the first step at which any
     state stops, every state's last value, step count and converged flag,
     and ``done`` for the states that stopped.  ``record``, if given,
-    receives each new state.  This loop is the only caller of
-    :func:`de_step`, looked up at call time.
+    receives each new state.  This loop and :func:`_certified`, which it
+    calls, are the only callers of :func:`de_step`, looked up at call time.
 
     ``certify``, if given, is (floor, last) for a stack: a SIR floor and
     each row's largest sir change of its latest step (inf before its

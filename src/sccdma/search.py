@@ -13,7 +13,7 @@ lockstep; scores are built as the stack's rows retire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO
 
 import numpy as np
@@ -43,10 +43,12 @@ from .density_evolution import (
 )
 from .threshold import (
     DEFAULT_SUCCESS_BER,
+    BisectionPlan,
     BracketError,
     ThresholdQuery,
     ThresholdResult,
     bp_threshold,
+    check_plan,
 )
 
 __all__ = [
@@ -271,16 +273,15 @@ def ensemble_search(
     target_ber: float = DEFAULT_SUCCESS_BER,
     max_iter: int = 1000,
     sir_tol: float = 1e-8,
-    thresholds: ThresholdQuery | None = None,
+    thresholds: BisectionPlan | None = None,
 ) -> SearchReport:
     """Score every instance of the ensemble and rank them.
 
     Ranking is ascending by iterations to target (unreached last), then
     final maximum BER, then instance seed.  Given ``thresholds``, each of
     the top 10 instances is also bisected for its BP threshold with that
-    query, its own base matrix and training set replacing the query's;
-    the query's sigma2, alpha_tr and sir_tol must be those of ``scen``
-    and ``sir_tol``.
+    plan, in the system it was scored in: its own base matrix and
+    training set, the sigma2 and alpha_tr of ``scen`` and ``sir_tol``.
 
     One loop samples and scores the instances in blocks of consecutive
     indices.  Each block refills one buffer, allocated once, of at most
@@ -292,16 +293,10 @@ def ensemble_search(
     its own index and scores alone.
     """
     # Checked before any sampling starts, so bad arguments fail up front.
+    if thresholds is not None:
+        check_plan(thresholds, scen.sigma2, scen.alpha_tr, sir_tol)
     check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
-    if thresholds is not None:
-        # The finalists are bisected in the system they were scored in.
-        bisected_at = (thresholds.sigma2, thresholds.alpha_tr, thresholds.sir_tol)
-        if bisected_at != (scen.sigma2, scen.alpha_tr, sir_tol):
-            raise ValueError(
-                "thresholds must take sigma2, alpha_tr and sir_tol from the search: got "
-                f"{bisected_at}, expected {(scen.sigma2, scen.alpha_tr, sir_tol)}"
-            )
     rows = min(_block_rows(spec.L), spec.n_samples)
     bsq = np.empty((rows, spec.L, spec.L))
     loads = np.empty((rows, spec.L))
@@ -328,7 +323,8 @@ def ensemble_search(
         finalists = []
         for score in scores[:_THRESHOLD_FINALISTS]:
             g, assignment = sample_instance(spec, score.index)
-            query = replace(thresholds, B=to_base_matrix(g), training_set=assignment)
+            system = (to_base_matrix(g), scen.sigma2, scen.alpha_tr, assignment)
+            query = ThresholdQuery(*system, **asdict(thresholds), sir_tol=sir_tol)
             try:
                 finalists.append(replace(score, threshold=bp_threshold(query)))
             except BracketError as exc:

@@ -17,7 +17,7 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO
 
 import numpy as np
@@ -38,6 +38,7 @@ from .density_evolution import (
 
 __all__ = [
     "DEFAULT_SUCCESS_BER",
+    "BisectionPlan",
     "BracketError",
     "DeEvaluation",
     "ThresholdQuery",
@@ -85,8 +86,51 @@ class DeEvaluation:
 
 
 @dataclass(frozen=True)
+class BisectionPlan:
+    """A bisection without its system: bracket, stopping width, success level, budget.
+
+    Its ends are positive, finite and in order (else :class:`BracketError`),
+    and a width below two float spacings at ``alpha_hi``, where a midpoint
+    can equal an end, is refused.
+    """
+
+    alpha_lo: float
+    alpha_hi: float
+    alpha_tol: float = 1e-4
+    success_ber: float = DEFAULT_SUCCESS_BER
+    max_iter: int = 10000
+
+    def __post_init__(self) -> None:
+        for name in ("alpha_lo", "alpha_hi", "alpha_tol"):
+            check_positive(name, getattr(self, name))
+        if self.alpha_lo >= self.alpha_hi:
+            raise BracketError(
+                f"inverted bracket: alpha_lo={self.alpha_lo} must be below alpha_hi={self.alpha_hi}"
+            )
+        if self.alpha_tol < 2.0 * math.ulp(self.alpha_hi):
+            raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
+        check_target_ber(self.success_ber)
+
+
+def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> None:
+    """Reject a plan that the system (sigma2, alpha_tr, sir_tol) cannot bisect.
+
+    In order: the scenario at ``alpha_hi``, whose noise bound covers every
+    probe's load; a success level the single-user BER misses; the DE budget.
+    """
+    SystemScenario(sigma2, alpha_tr, plan.alpha_hi, TrainingAssignment((), 0))
+    single_user = ber_of(1.0 / sigma2)
+    if single_user >= plan.success_ber:
+        raise ValueError(
+            f"success level {plan.success_ber} is unreachable: the single-user "
+            f"bound at this noise level is {single_user:.6g}"
+        )
+    check_de_budget(plan.max_iter, sir_tol)
+
+
+@dataclass(frozen=True)
 class ThresholdQuery:
-    """A bisection problem: base matrix, scenario minus the load, and a bracket."""
+    """A bisection problem: base matrix, scenario minus the load, and a :class:`BisectionPlan`."""
 
     B: BaseMatrix
     sigma2: float
@@ -100,33 +144,15 @@ class ThresholdQuery:
     sir_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        check_positive("alpha_lo", self.alpha_lo)
-        check_positive("alpha_hi", self.alpha_hi)
-        check_positive("alpha_tol", self.alpha_tol)
-        self.scenario(self.alpha_hi)  # checks sigma2, alpha_tr and the noise bound
-        if self.alpha_lo >= self.alpha_hi:
-            raise BracketError(
-                f"inverted bracket: alpha_lo={self.alpha_lo} must be below alpha_hi={self.alpha_hi}"
-            )
-        # Below two float spacings a midpoint can equal a bracket end and bisection never ends.
-        if self.alpha_tol < 2.0 * math.ulp(self.alpha_hi):
-            raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
-        check_target_ber(self.success_ber)
-        single_user = ber_of(1.0 / self.sigma2)
-        if single_user >= self.success_ber:
-            raise ValueError(
-                f"success level {self.success_ber} is unreachable: the single-user "
-                f"bound at this noise level is {single_user:.6g}"
-            )
-        check_de_budget(self.max_iter, self.sir_tol)
+        # The noise bound first: an alpha_hi past it also breaks the plan's float spacing.
+        for name in ("alpha_lo", "alpha_hi", "alpha_tol"):
+            check_positive(name, getattr(self, name))
+        self.scenario(self.alpha_hi)
+        plan = BisectionPlan(*(getattr(self, f.name) for f in fields(BisectionPlan)))
+        check_plan(plan, self.sigma2, self.alpha_tr, self.sir_tol)
 
     def scenario(self, alpha: float) -> SystemScenario:
-        return SystemScenario(
-            sigma2=self.sigma2,
-            alpha_tr=self.alpha_tr,
-            alpha=alpha,
-            training_set=self.training_set,
-        )
+        return SystemScenario(self.sigma2, self.alpha_tr, alpha, self.training_set)
 
 
 @dataclass(frozen=True)
@@ -187,8 +213,8 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     its run's state (sir, steps, row loads, last sir change) or, once it
     stops, its evaluation; a load that the path rules out leaves the table
     and the next level joins it.  Every load is a distinct key:
-    ``ThresholdQuery`` keeps the bracket wider than two float spacings, so
-    each midpoint lies strictly inside it.
+    :class:`BisectionPlan` keeps the bracket wider than two float spacings,
+    so each midpoint lies strictly inside it.
 
     The stack steps through the loop of :func:`run_de`, which also stops
     a probe once a super-solution certifies its failure: some position's

@@ -499,6 +499,8 @@ def test_search_reports_failed_bisections_and_exits_0(tmp_path):
         ("--samples", 65537),
         ("--max-iter", 2**63),
         ("--with-thresholds", "--threshold-max-iter", 2**62 + 1),
+        ("--with-thresholds", "--success-ber", 5e-4),
+        ("--with-thresholds", "--alpha-hi", 1e306),
     ],
 )
 def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, capsys, flags):
@@ -514,7 +516,7 @@ def test_search_rejects_bad_arguments_before_sampling(tmp_path, monkeypatch, cap
 
 
 def test_search_reports_a_bad_bisection_flag_before_a_bad_scoring_flag(tmp_path, capsys):
-    # The bisection flags become a query before the search checks its own.
+    # The bisection flags become a plan before the search checks its own.
     out = tmp_path / "report.csv"
     flags = ("--with-thresholds", "--alpha-lo", 3, "--target-ber", 0.7)
     assert main([str(arg) for arg in (*_search_args(out), *flags)]) == 2

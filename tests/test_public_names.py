@@ -5,22 +5,23 @@ from __future__ import annotations
 import sccdma
 
 PUBLIC_NAMES = [
-    "BaseMatrix", "BracketError", "CouplingGraph", "DEFAULT_SUCCESS_BER",
-    "DeEvaluation", "DeTrajectory", "EnsembleSpec", "GraphError",
-    "GraphParseError", "InstanceScore", "MAX_CHAIN_LENGTH", "MMSE_CUTOFF",
-    "Provenance", "SearchReport", "SystemScenario", "ThresholdQuery",
-    "ThresholdResult", "TrainingAssignment", "__version__", "assign_training",
-    "average_load", "ber_of", "bp_threshold", "cluster_of", "de_step",
-    "ensemble_search", "instance_seed", "make_regular", "mmse_bpsk",
-    "parse_graph", "qfunc", "run_de", "sample_instance", "scalar_fixed_points",
-    "score_instance", "serialize_graph", "sigma2_from_db", "sw_rewire",
-    "to_base_matrix", "write_evaluation_log_csv", "write_search_csv",
-    "write_summary_csv", "write_threshold_csv", "write_trajectory_csv",
+    "BaseMatrix", "BisectionPlan", "BracketError", "CouplingGraph",
+    "DEFAULT_SUCCESS_BER", "DeEvaluation", "DeTrajectory", "EnsembleSpec",
+    "GraphError", "GraphParseError", "InstanceScore", "MAX_CHAIN_LENGTH",
+    "MMSE_CUTOFF", "Provenance", "SearchReport", "SystemScenario",
+    "ThresholdQuery", "ThresholdResult", "TrainingAssignment",
+    "__version__", "assign_training", "average_load", "ber_of",
+    "bp_threshold", "cluster_of", "de_step", "ensemble_search",
+    "instance_seed", "make_regular", "mmse_bpsk", "parse_graph", "qfunc",
+    "run_de", "sample_instance", "scalar_fixed_points", "score_instance",
+    "serialize_graph", "sigma2_from_db", "sw_rewire", "to_base_matrix",
+    "write_evaluation_log_csv", "write_search_csv", "write_summary_csv",
+    "write_threshold_csv", "write_trajectory_csv",
 ]
 
 
 def test_public_names_are_pinned_listed_once_and_resolve():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 45
     assert sorted(sccdma.__all__) == PUBLIC_NAMES
     assert len(set(sccdma.__all__)) == len(sccdma.__all__)
     assert [name for name in sccdma.__all__ if not hasattr(sccdma, name)] == []

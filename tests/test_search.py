@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sccdma import (
     MAX_CHAIN_LENGTH,
+    BisectionPlan,
     EnsembleSpec,
     GraphError,
     SystemScenario,
@@ -191,6 +192,10 @@ def test_ensemble_spec_validation():
         dict(target_ber=0.7),
         dict(max_iter=0),
         dict(sir_tol=-1.0),
+        # Q(sqrt(10)) ~ 7.83e-4: no finalist's run could get under 5e-4 at 10 dB.
+        dict(thresholds=BisectionPlan(1.0, 2.5, success_ber=5e-4)),
+        # Past the noise bound at alpha_hi; the wide tolerance keeps the plan's own checks quiet.
+        dict(thresholds=BisectionPlan(1.0, 1e306, alpha_tol=1e300)),
     ],
 )
 def test_ensemble_search_checks_arguments_before_sampling(monkeypatch, bad):
@@ -198,25 +203,6 @@ def test_ensemble_search_checks_arguments_before_sampling(monkeypatch, bad):
     monkeypatch.setattr(search, "sample_instance", lambda *args: sampled.append(args))
     with pytest.raises(ValueError):
         ensemble_search(SPEC_64, _scenario(1.98), **bad)
-    assert sampled == []
-
-
-@pytest.mark.parametrize("mismatch", [dict(sigma2=0.09), dict(alpha_tr=1.2), dict(sir_tol=1e-6)])
-def test_ensemble_search_rejects_thresholds_off_the_search_before_sampling(monkeypatch, mismatch):
-    # The finalists are bisected at the search's noise level, alpha_tr and tolerance.
-    sampled = []
-    monkeypatch.setattr(search, "sample_instance", lambda *args: sampled.append(args))
-    query = ThresholdQuery(
-        B=to_base_matrix(make_regular(8, 1)),
-        sigma2=0.1,
-        alpha_tr=1.45,
-        training_set=NO_TRAINING,
-        alpha_lo=1.0,
-        alpha_hi=2.5,
-        sir_tol=1e-8,
-    )
-    with pytest.raises(ValueError, match="thresholds must take sigma2, alpha_tr and sir_tol"):
-        ensemble_search(SPEC_64, _scenario(1.98), thresholds=replace(query, **mismatch))
     assert sampled == []
 
 
@@ -542,17 +528,8 @@ def test_search_csv_without_thresholds():
 def test_search_csv_with_thresholds_column():
     spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
-    # Each finalist's bisection puts its own matrix and training set in the query.
-    query = ThresholdQuery(
-        B=to_base_matrix(make_regular(8, 1)),
-        sigma2=0.1,
-        alpha_tr=1.2,
-        training_set=NO_TRAINING,
-        alpha_lo=1.0,
-        alpha_hi=2.5,
-        alpha_tol=1e-2,
-    )
-    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=query)
+    plan = BisectionPlan(alpha_lo=1.0, alpha_hi=2.5, alpha_tol=1e-2)
+    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=plan)
     buf = io.StringIO()
     write_search_csv(report, buf)
     lines = buf.getvalue().splitlines()
@@ -561,7 +538,17 @@ def test_search_csv_with_thresholds_column():
     assert scored, "expected thresholds for finalists"
     for score in scored:
         g, a = sample_instance(spec, score.index)
-        alone = bp_threshold(replace(query, B=to_base_matrix(g), training_set=a))
+        # Each finalist is bisected on its own matrix and training set, in the search's system.
+        query = ThresholdQuery(
+            B=to_base_matrix(g),
+            sigma2=0.1,
+            alpha_tr=1.2,
+            training_set=a,
+            alpha_lo=1.0,
+            alpha_hi=2.5,
+            alpha_tol=1e-2,
+        )
+        alone = bp_threshold(query)
         assert score.threshold == alone
 
 
@@ -569,16 +556,8 @@ def test_search_csv_keeps_alpha_bp_column_when_no_finalist_gets_a_threshold():
     spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=3)
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
     # Both ends succeed, so no bracket straddles a threshold.
-    query = ThresholdQuery(
-        B=to_base_matrix(make_regular(8, 1)),
-        sigma2=0.1,
-        alpha_tr=1.2,
-        training_set=NO_TRAINING,
-        alpha_lo=1.0,
-        alpha_hi=1.1,
-        alpha_tol=1e-2,
-    )
-    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=query)
+    plan = BisectionPlan(alpha_lo=1.0, alpha_hi=1.1, alpha_tol=1e-2)
+    report = ensemble_search(spec, scen, target_ber=TARGET, max_iter=400, thresholds=plan)
     assert report.with_thresholds
     assert all(score.threshold is None for score in report.scores)
     assert [index for index, _ in report.failures] == [score.index for score in report.scores]

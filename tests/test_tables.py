@@ -10,6 +10,7 @@ import pytest
 
 from sccdma import (
     BaseMatrix,
+    BisectionPlan,
     EnsembleSpec,
     SystemScenario,
     ThresholdQuery,
@@ -98,17 +99,9 @@ def _evaluation_log_table():
 def _search_table(with_thresholds: bool):
     spec = EnsembleSpec(L=32, W=1, p=0.1, c=2, tau=8, master_seed=6, n_samples=4)
     scen = SystemScenario(sigma2=0.1, alpha_tr=1.2, alpha=1.8, training_set=NO_TRAINING)
-    query = ThresholdQuery(
-        B=UNCOUPLED,
-        sigma2=0.1,
-        alpha_tr=1.2,
-        training_set=NO_TRAINING,
-        alpha_lo=1.0,
-        alpha_hi=2.5,
-        alpha_tol=1e-2,
-    )
+    plan = BisectionPlan(alpha_lo=1.0, alpha_hi=2.5, alpha_tol=1e-2)
     report = ensemble_search(
-        spec, scen, target_ber=2e-3, max_iter=400, thresholds=query if with_thresholds else None
+        spec, scen, target_ber=2e-3, max_iter=400, thresholds=plan if with_thresholds else None
     )
     header = ["index", "instance_seed", "iterations_to_target", "final_max_ber"]
     rows = [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sccdma import (
     BaseMatrix,
+    BisectionPlan,
     BracketError,
     DeEvaluation,
     SystemScenario,
@@ -69,30 +70,41 @@ def test_query_rejects_success_ber_below_single_user_bound():
         _uncoupled_query(success_ber=5e-4)
 
 
+def _rejected_as_plan_and_query(bad, match=None):
+    """A query and a plan with the same bad plan fields fail with the same message."""
+    messages = []
+    for build in (_uncoupled_query, BisectionPlan):
+        with pytest.raises(ValueError, match=match) as error:
+            build(**{"alpha_lo": 1.0, "alpha_hi": 2.5, **bad})
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+
+
 def test_query_rejects_nonpositive_parameters():
     for bad in (
         dict(sigma2=0.0),
         dict(sigma2=-0.1),
         dict(alpha_tr=0.0),
-        dict(alpha_lo=0.0),
-        dict(alpha_lo=-1.0, alpha_hi=-0.5),
-        dict(alpha_hi=0.0),
         dict(sigma2=float("nan")),
         dict(sigma2=1e-320),
         dict(alpha_tr=float("inf")),
-        dict(alpha_lo=float("nan")),
-        dict(alpha_hi=float("inf")),
     ):
         with pytest.raises(ValueError):
             _uncoupled_query(**bad)
+    for bad in (
+        dict(alpha_lo=0.0),
+        dict(alpha_lo=-1.0, alpha_hi=-0.5),
+        dict(alpha_hi=0.0),
+        dict(alpha_lo=float("nan")),
+        dict(alpha_hi=float("inf")),
+    ):
+        _rejected_as_plan_and_query(bad)
     # Below two float spacings at alpha_hi, bisection could stop shrinking.
     for tol in (0.0, float("nan"), float("inf"), 1e-300, 4e-16):
-        with pytest.raises(ValueError, match="alpha_tol"):
-            _uncoupled_query(alpha_tol=tol)
+        _rejected_as_plan_and_query(dict(alpha_tol=tol), match="alpha_tol")
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         _uncoupled_query().scenario(float("nan"))
-    with pytest.raises(ValueError):
-        _uncoupled_query(success_ber=1.5)
+    _rejected_as_plan_and_query(dict(success_ber=1.5))
 
 
 def test_query_checks_the_noise_bound_at_alpha_hi():
