@@ -50,7 +50,6 @@ from .threshold import (
 __all__ = ["main"]
 
 _UNCOUPLED_B = BaseMatrix(L=1, bsq=[[1.0]])
-_NO_TRAINING = TrainingAssignment(training_set=(), tau=0)
 
 
 def _parse_training_flag(text: str) -> tuple[int, ...]:
@@ -91,13 +90,8 @@ def _write_file(path: str, write) -> None:
         write(stream)
 
 
-def _scenario(args, training_set: TrainingAssignment) -> SystemScenario:
-    """The scenario flags ``--snr-db``, ``--alpha-tr`` and ``--alpha``, with ``training_set``."""
-    return SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha, training_set)
-
-
 def _plan_fields(args, max_iter: int) -> dict:
-    """The bisection flags and ``max_iter`` as plan fields, which a query checks in its own order."""
+    """The bisection flags and ``max_iter`` as the fields of a plan, or of a query's plan."""
     names = ("alpha_lo", "alpha_hi", "alpha_tol", "success_ber")
     return {name: getattr(args, name) for name in names} | {"max_iter": max_iter}
 
@@ -118,7 +112,7 @@ def cmd_generate(args) -> int:
 
 def cmd_de(args) -> int:
     graph, assignment = _load_graph(args)
-    scen = _scenario(args, assignment)
+    scen = SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha, assignment)
     traj = run_de(to_base_matrix(graph), scen, max_iter=args.max_iter, tol=args.tol)
     _write_file(args.out_trajectory, partial(write_trajectory_csv, traj))
     _write_file(args.out_summary, partial(write_summary_csv, traj))
@@ -131,13 +125,13 @@ def cmd_threshold(args) -> int:
     if args.uncoupled:
         if args.training_set is not None:
             raise ValueError("--training-set needs --graph: an uncoupled system has no training set")
-        B, assignment = _UNCOUPLED_B, _NO_TRAINING
+        system = {"B": _UNCOUPLED_B}
     else:
         graph, assignment = _load_graph(args)
-        B = to_base_matrix(graph)
+        system = {"B": to_base_matrix(graph), "training_set": assignment}
     result = bp_threshold(ThresholdQuery(
-        B, sigma2_from_db(args.snr_db), args.alpha_tr, assignment,
-        **_plan_fields(args, args.max_iter), sir_tol=args.tol,
+        **_plan_fields(args, args.max_iter), **system,
+        sigma2=sigma2_from_db(args.snr_db), alpha_tr=args.alpha_tr, sir_tol=args.tol,
     ))
     if args.out_report is None:
         write_threshold_csv(result, sys.stdout)
@@ -158,7 +152,7 @@ def cmd_search(args) -> int:
         master_seed=args.seed,
         n_samples=args.samples,
     )
-    scen = _scenario(args, _NO_TRAINING)
+    scen = SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha)
     thresholds = None
     if args.with_thresholds:
         thresholds = BisectionPlan(**_plan_fields(args, args.threshold_max_iter))

@@ -239,8 +239,8 @@ def score_instance(
 ) -> InstanceScore:
     """Run density evolution and record iterations to the average-BER target.
 
-    The instance's own training assignment supersedes the one in the
-    scenario template.  The result equals the instance's score in any
+    The system is ``scen`` with the instance's own training assignment in
+    place of the scenario's.  The result equals the instance's score in any
     :func:`ensemble_search` block.
     """
     check_target_ber(target_ber)
@@ -279,9 +279,11 @@ def ensemble_search(
 
     Ranking is ascending by iterations to target (unreached last), then
     final maximum BER, then instance seed.  Given ``thresholds``, each of
-    the top 10 instances is also bisected for its BP threshold with that
-    plan, in the system it was scored in: its own base matrix and
-    training set, the sigma2 and alpha_tr of ``scen`` and ``sir_tol``.
+    the top 10 instances is also bisected for its BP threshold by a
+    :class:`ThresholdQuery`, that plan plus the system the instance was
+    scored in: its own base matrix and training set, the sigma2 and
+    alpha_tr of ``scen`` and ``sir_tol``.  A finalist that cannot be
+    bisected is recorded in ``failures`` and keeps no threshold.
 
     One loop samples and scores the instances in blocks of consecutive
     indices.  Each block refills one buffer, allocated once, of at most
@@ -323,12 +325,12 @@ def ensemble_search(
         finalists = []
         for score in scores[:_THRESHOLD_FINALISTS]:
             g, assignment = sample_instance(spec, score.index)
-            system = (to_base_matrix(g), scen.sigma2, scen.alpha_tr, assignment)
-            query = ThresholdQuery(*system, **asdict(thresholds), sir_tol=sir_tol)
+            query = ThresholdQuery(**asdict(thresholds), B=to_base_matrix(g), sigma2=scen.sigma2,
+                                   alpha_tr=scen.alpha_tr, training_set=assignment, sir_tol=sir_tol)
             try:
                 finalists.append(replace(score, threshold=bp_threshold(query)))
-            except BracketError as exc:
-                failures.append((score.index, f"BracketError: {exc}"))
+            except (BracketError, RuntimeError) as exc:
+                failures.append((score.index, f"{type(exc).__name__}: {exc}"))
                 finalists.append(score)
         scores = finalists + scores[_THRESHOLD_FINALISTS:]
 

@@ -17,7 +17,7 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
     _FLOAT_FORMAT,
+    _NO_TRAINING,
     SystemScenario,
     _lockstep,
     _sir_floor,
@@ -113,12 +114,12 @@ class BisectionPlan:
 
 
 def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> None:
-    """Reject a plan that the system (sigma2, alpha_tr, sir_tol) cannot bisect.
+    """Reject a plan that a query's system (sigma2, alpha_tr, sir_tol) cannot bisect.
 
     In order: the scenario at ``alpha_hi``, whose noise bound covers every
     probe's load; a success level the single-user BER misses; the DE budget.
     """
-    SystemScenario(sigma2, alpha_tr, plan.alpha_hi, TrainingAssignment((), 0))
+    SystemScenario(sigma2, alpha_tr, plan.alpha_hi)
     single_user = ber_of(1.0 / sigma2)
     if single_user >= plan.success_ber:
         raise ValueError(
@@ -128,28 +129,22 @@ def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: flo
     check_de_budget(plan.max_iter, sir_tol)
 
 
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """A bisection problem: base matrix, scenario minus the load, and a :class:`BisectionPlan`."""
+@dataclass(frozen=True, kw_only=True)
+class ThresholdQuery(BisectionPlan):
+    """A bisection problem: a :class:`BisectionPlan` plus its system, by keyword.
+
+    The system: base matrix, scenario minus the load (no training set by default), DE tolerance.
+    """
 
     B: BaseMatrix
     sigma2: float
     alpha_tr: float
-    training_set: TrainingAssignment
-    alpha_lo: float
-    alpha_hi: float
-    alpha_tol: float = 1e-4
-    success_ber: float = DEFAULT_SUCCESS_BER
-    max_iter: int = 10000
+    training_set: TrainingAssignment = _NO_TRAINING
     sir_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        # The noise bound first: an alpha_hi past it also breaks the plan's float spacing.
-        for name in ("alpha_lo", "alpha_hi", "alpha_tol"):
-            check_positive(name, getattr(self, name))
-        self.scenario(self.alpha_hi)
-        plan = BisectionPlan(*(getattr(self, f.name) for f in fields(BisectionPlan)))
-        check_plan(plan, self.sigma2, self.alpha_tr, self.sir_tol)
+        super().__post_init__()
+        check_plan(self, self.sigma2, self.alpha_tr, self.sir_tol)
 
     def scenario(self, alpha: float) -> SystemScenario:
         return SystemScenario(self.sigma2, self.alpha_tr, alpha, self.training_set)

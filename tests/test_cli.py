@@ -486,6 +486,56 @@ def test_search_reports_failed_bisections_and_exits_0(tmp_path):
     ), err
 
 
+def test_search_records_a_finalist_with_inverted_bracket_ends_and_exits_0(tmp_path):
+    # At success level 1/2 a run succeeds once it converges.  Within 60
+    # iterations five finalists converge at 2.5 but not at 1.9, which
+    # bisection refuses; the sixth converges at neither end.
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_main((
+        "search", "--L", 32, "--W", 1, "--p", 0.1, "--c", 2, "--tau", 8,
+        "--samples", 6, "--seed", 7, "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9,
+        "--with-thresholds", "--alpha-lo", 1.9, "--alpha-hi", 2.5, "--success-ber", 0.5,
+        "--threshold-max-iter", 60, "--out-report", out,
+    ))
+    assert code == 0 and stdout == ""
+    with open(out, newline="") as stream:
+        rows = list(csv.DictReader(stream))
+    assert len(rows) == 6 and all(row["alpha_bp"] == "" for row in rows)
+    failed = sorted(
+        (int(line.split()[1]), line.split(": ", 2)[1]) for line in err.splitlines()
+    )
+    assert failed == [(0, "BracketError"), *((i, "RuntimeError") for i in range(1, 6))], err
+    assert (
+        "instance 1 failed: RuntimeError: density-evolution success is not monotone "
+        "over the bracket: failure at alpha=1.9 below success at alpha=2.5; refusing to bisect"
+    ) in err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--alpha-hi", 1e306),
+        ("--alpha-lo", 3),
+        ("--alpha-tol", -1),
+        ("--success-ber", 5e-4),
+        ("budget", 0),
+    ],
+)
+def test_threshold_and_search_print_one_message_per_bad_bisection_flag(tmp_path, flag, value):
+    # Both commands check the same plan against the same 10 dB system.
+    budget = {"threshold": "--max-iter", "search": "--threshold-max-iter"}
+    errors = []
+    for argv in (
+        ("threshold", "--uncoupled", "--snr-db", 10),
+        (*_search_args(tmp_path / "report.csv"), "--with-thresholds"),
+    ):
+        code, out, err = run_main((*argv, budget[argv[0]] if flag == "budget" else flag, value))
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith("error:") and errors[0].count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,14 @@ from sccdma import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from sccdma.density_evolution import _MMSE_UPPER, _Q_BLOCK, _lockstep, _mmse_quadrature
+from sccdma.density_evolution import (
+    _MMSE_PIECES,
+    _MMSE_UPPER,
+    _Q_BLOCK,
+    _lockstep,
+    _mmse_pieces,
+    _mmse_quadrature,
+)
 
 # Gaussian upper-tail values from a 40-digit numerical integration of the
 # standard normal density (mpmath.quad over [x, inf)), frozen.
@@ -178,17 +187,26 @@ def test_mmse_bpsk_vectorized_matches_scalar():
     np.testing.assert_array_equal(mmse_bpsk(xs.reshape(1, -1, 1)).ravel(), vec)
 
 
-def _quadrature_chunked(x):
-    out = np.empty_like(x)
-    for i in range(0, x.size, 16384):
-        out[i : i + 16384] = _mmse_quadrature(x[i : i + 16384])
-    return out
+def test_mmse_table_is_pinned_and_fitted_in_bounded_memory():
+    # Every float of the table mmse_bpsk evaluates, as fitted at import.
+    digest = hashlib.sha256(_MMSE_PIECES.tobytes()).hexdigest()
+    assert digest == "e0584d76b84898cb8023bf08df89f533dc8d028aee4be3a8193df4e56862e4c4"
+    # The fit's 486 trapezoid-rule points, in kernel blocks of 64 rows:
+    # 0.65 MiB at peak, where one 486-row kernel took 2.9 MiB.
+    tracemalloc.start()
+    try:
+        refit = _mmse_pieces()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refit.tobytes() == _MMSE_PIECES.tobytes()
+    assert peak < 1 << 20
 
 
 def test_mmse_bpsk_matches_quadrature_on_dense_grids():
     dense = np.linspace(0.0, MMSE_CUTOFF, 1_000_001)
     fast = mmse_bpsk(dense)
-    assert np.max(np.abs(fast - _quadrature_chunked(dense))) <= 1e-12
+    assert np.max(np.abs(fast - _mmse_quadrature(dense))) <= 1e-12
     assert np.all(np.diff(fast) <= 0.0)
     small = np.logspace(-12.0, 0.0, 20_001)
     assert np.max(np.abs(mmse_bpsk(small) - _mmse_quadrature(small))) <= 1e-12

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sccdma import (
+    DEFAULT_SUCCESS_BER,
     BaseMatrix,
     BisectionPlan,
     BracketError,
@@ -109,8 +110,21 @@ def test_query_rejects_nonpositive_parameters():
 
 def test_query_checks_the_noise_bound_at_alpha_hi():
     # Every probe's load lies below alpha_hi, so one check there covers them all.
+    # The wide tolerance keeps the plan's own checks, which run first, quiet.
     with pytest.raises(ValueError, match="noise bound"):
+        _uncoupled_query(alpha_hi=1e306, alpha_tol=1e300)
+    with pytest.raises(ValueError) as error:
         _uncoupled_query(alpha_hi=1e306)
+    assert str(error.value) == "alpha_tol=0.0001 is below the float spacing at alpha_hi"
+
+
+def test_query_is_a_plan_plus_a_keyword_only_system():
+    query = ThresholdQuery(1.0, 2.5, B=UNCOUPLED, sigma2=0.1, alpha_tr=1.0)
+    assert isinstance(query, BisectionPlan)
+    assert query.training_set == NO_TRAINING == query.scenario(2.0).training_set
+    assert query == _uncoupled_query()
+    with pytest.raises(TypeError):
+        ThresholdQuery(1.0, 2.5, 1e-4, DEFAULT_SUCCESS_BER, 10000, UNCOUPLED, 0.1, 1.0)
 
 
 def test_bp_threshold_logs_success_at_alpha_lo_then_failure_at_alpha_hi():
