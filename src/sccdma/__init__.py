@@ -4,20 +4,45 @@ Builds regular and small-world coupling graphs, predicts per-position
 BER through the coupled density-evolution recursion, estimates BP
 thresholds by bisection, and searches ensembles for instances that
 converge in few iterations.  Re-exports each module's ``__all__``.
+
+The modules, and numpy with them, load when a name is first used
+(PEP 562), so that ``sccdma.cli`` can set up the process before numpy
+starts.
 """
 
-from . import coupling, density_evolution, search, threshold
-from .coupling import *
-from .density_evolution import *
-from .search import *
-from .threshold import *
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
+_MODULES = ("coupling", "density_evolution", "search", "threshold")
+
+# Each module's __all__ in the order of _MODULES; tests/test_public_names.py checks the copy.
 __all__ = [
-    *coupling.__all__,
-    *density_evolution.__all__,
-    *search.__all__,
-    *threshold.__all__,
+    "GraphError", "GraphParseError", "MAX_CHAIN_LENGTH", "Provenance", "CouplingGraph",
+    "TrainingAssignment", "BaseMatrix", "make_regular", "cluster_of", "sw_rewire",
+    "assign_training", "to_base_matrix", "average_load", "serialize_graph", "parse_graph",
+    "MMSE_CUTOFF", "SystemScenario", "DeTrajectory", "sigma2_from_db", "qfunc", "ber_of",
+    "mmse_bpsk", "de_step", "run_de", "write_trajectory_csv", "write_summary_csv",
+    "EnsembleSpec", "InstanceScore", "SearchReport", "instance_seed", "sample_instance",
+    "score_instance", "ensemble_search", "write_search_csv",
+    "DEFAULT_SUCCESS_BER", "BisectionPlan", "BracketError", "DeEvaluation", "ThresholdQuery",
+    "ThresholdResult", "bp_threshold", "scalar_fixed_points", "write_threshold_csv",
+    "write_evaluation_log_csv",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _importlib.import_module(f".{name}", __name__)
+    if name in __all__:
+        for module_name in _MODULES:
+            module = _importlib.import_module(f".{module_name}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

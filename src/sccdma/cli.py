@@ -13,10 +13,17 @@ output files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
-from .coupling import (
+# Set before numpy loads, which starts OpenBLAS's worker threads.  An idle
+# worker spins for 2**OPENBLAS_THREAD_TIMEOUT cycles before it sleeps (2**28
+# by default, about 0.1 s of a core per process) and no matvec of a CLI run
+# at L = 64 wakes one.  A user's own value is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from .coupling import (  # noqa: E402
     _MAX_GRAPH_CHARS,
     BaseMatrix,
     GraphParseError,
@@ -29,7 +36,7 @@ from .coupling import (
     sw_rewire,
     to_base_matrix,
 )
-from .density_evolution import (
+from .density_evolution import (  # noqa: E402
     SystemScenario,
     format_float,
     run_de,
@@ -37,8 +44,8 @@ from .density_evolution import (
     write_summary_csv,
     write_trajectory_csv,
 )
-from .search import EnsembleSpec, ensemble_search, write_search_csv
-from .threshold import (
+from .search import EnsembleSpec, ensemble_search, write_search_csv  # noqa: E402
+from .threshold import (  # noqa: E402
     DEFAULT_SUCCESS_BER,
     BisectionPlan,
     ThresholdQuery,
@@ -152,10 +159,13 @@ def cmd_search(args) -> int:
         master_seed=args.seed,
         n_samples=args.samples,
     )
-    scen = SystemScenario(sigma2_from_db(args.snr_db), args.alpha_tr, args.alpha)
+    # The noise level, then the plan, then the scenario: the order in which
+    # ``threshold`` checks its flags, so both name the same bad one first.
+    sigma2 = sigma2_from_db(args.snr_db)
     thresholds = None
     if args.with_thresholds:
         thresholds = BisectionPlan(**_plan_fields(args, args.threshold_max_iter))
+    scen = SystemScenario(sigma2, args.alpha_tr, args.alpha)
     report = ensemble_search(
         spec,
         scen,

@@ -20,7 +20,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
 from typing import IO
 
 import numpy as np
@@ -535,7 +534,7 @@ def run_de(
 
 
 # The CSV number format: 17 significant digits, enough to round-trip.  Every
-# table goes through _write_table, with rows that spell their floats in it.
+# table goes through _write_table, whose fast path spells this format exactly.
 _FLOAT_FORMAT = "%.17g"
 # Table lines formatted per write; bounds the text held at once.
 _WRITE_LINES = 8192
@@ -546,28 +545,214 @@ def format_float(value: float) -> str:
     return _FLOAT_FORMAT % value
 
 
-def _write_table(stream: IO[str], header: str, row: str, rows) -> None:
-    """Write ``header``, then ``row % values`` for each of ``rows``, _WRITE_LINES lines a write."""
+# The index of the non-digit entry of _QUADS.
+_POINT = 10000
+
+
+def _digit_quads() -> tuple[NDArray[np.uint32], NDArray[np.uint8]]:
+    """Of each of 0000 to 9999: its four ASCII digits packed into one uint32, and its trailing zeros.
+
+    Entry _POINT packs two NULs and "0.", the part of a fixed-notation
+    cell that is not digits.  Built from uint16 arrays so that no
+    temporary reaches glibc's 128 KiB mmap threshold: freeing a block that
+    large raises the threshold, which changes how every later allocation
+    of the process is served.
+    """
+    chars = np.empty((_POINT + 1, 4), dtype=np.uint8)
+    zeros = np.zeros(_POINT, dtype=np.uint8)
+    n = np.arange(_POINT, dtype=np.uint16)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        chars[:_POINT, j] = n // place % 10 + 48
+        zeros += n % (10 * place) == 0
+    chars[_POINT] = np.frombuffer(b"\0\0" b"0.", dtype=np.uint8)
+    return chars.view(np.uint32).ravel(), zeros
+
+
+def _fixed_layouts() -> NDArray[np.uint8]:
+    """Masks that cut %.17g's fixed notation out of a cell of packed quads, per (k, end).
+
+    A cell is the five quads of the 17 digits (three '0's, then the
+    digits), entry _POINT, and the five quads again: room for the integer
+    digits, a '0' where there are none, the point, the zeros between it
+    and the first digit, and the fraction digits.  Row (k + 4) * 17 +
+    end - 1 keeps what 10**k <= x < 10**(k+1) writes when its digits from
+    index ``end`` on are zeros, and turns the rest of the cell to NUL.
+    """
+    k = np.arange(-4, 17, dtype=np.int8).repeat(17)[:, None]
+    end = np.tile(np.arange(1, 18, dtype=np.int8), 21)[:, None]
+    j = np.arange(17, dtype=np.int8)
+    keep = np.zeros((21 * 17, 44), dtype=bool)
+    keep[:, 3:20] = j <= k
+    keep[:, 22:23] = k < 0
+    keep[:, 23:24] = end > k + 1
+    keep[:, 24:27] = np.arange(3, dtype=np.int8) < -1 - k
+    keep[:, 27:] = (j > k) & (j < end)
+    return keep.view(np.uint8) * np.uint8(255)
+
+
+def _split(a):
+    """Dekker's split of a into a 26-bit high part and the rest, whose products are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_QUADS, _QUAD_ZEROS = _digit_quads()
+_FIXED_LAYOUTS = _fixed_layouts()
+# 10**p for p in [0, 20], each exact in float64, and its halves for the two-product.
+_POW10 = np.array([float(10**p) for p in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+# 10**1 ... 10**18: an int64's digit count is one more than the powers at or below it.
+_INT_POWERS = np.array([10**p for p in range(1, 19)], dtype=np.int64)
+# The fast path covers the exponents %.17g writes in fixed notation, [-4, 16].
+_FIXED_LO, _FIXED_HI = 1e-4, 1e17
+
+
+def _quads(v, count: int) -> NDArray[np.intp]:
+    """The last ``count`` base-10000 digits of each int64 v >= 0, a row each, most significant first."""
+    quads = np.empty((count, v.size), dtype=np.intp)
+    for j in reversed(range(count)):
+        high = v // 10000
+        quads[j] = v - high * 10000
+        v = high
+    return quads
+
+
+def _times_pow10(x, p):
+    """x * 10**p as an unevaluated sum hi + lo, exactly (Dekker's two-product)."""
+    hi = x * _POW10[p]
+    xh, xl = _split(x)
+    lo = ((xh * _POW10_HI[p] - hi) + xh * _POW10_LO[p] + xl * _POW10_HI[p]) + xl * _POW10_LO[p]
+    return hi, lo
+
+
+def _decimal(x):
+    """The 17 significant digits of each x in [_FIXED_LO, _FIXED_HI), its exponent, and which hold.
+
+    With 10**k <= x < 10**(k+1), the exact product x * 10**(16-k) lies in
+    [1e16, 1e17), and rounded to an integer it gives the digits.  A row
+    whose product sits within 1e-6 of a rounding tie does not hold: there
+    the half-even rule of %.17g would have to be reproduced.
+    """
+    k = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.intp)
+    hi, lo = _times_pow10(x, 16 - k)
+    # log10 rounds, so next to a power of ten k may be one off; the product says which way.
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    if up.any() or down.any():
+        k += up
+        k -= down
+        hi, lo = _times_pow10(x, 16 - k)
+    below = np.floor(lo)
+    rest = lo - below
+    # No product rounds up to 1e17: the largest double below each power of
+    # ten from 1e-4 to 1e17 gives a product at least 8 below it.
+    digits = hi.astype(np.int64) + below.astype(np.int64) + (rest > 0.5)
+    return digits, k, np.abs(rest - 0.5) >= 1e-6
+
+
+def _fixed_cells(digits, k):
+    """%.17g of digits * 10**(k-16), 17-digit digits and k in [-4, 16], as NUL-padded ASCII rows."""
+    quads = _quads(digits, 5)
+    # The quads after the first hold 16 digits; count their trailing zeros.
+    zeros = np.take(_QUAD_ZEROS, quads[1:])
+    trailing = zeros[3].astype(np.intp)
+    for j in (2, 1, 0):
+        trailing += (trailing == 4 * (3 - j)) * zeros[j]
+    cells = np.empty((digits.size, 11), dtype=np.uint32)
+    cells[:, :5] = cells[:, 6:] = np.take(_QUADS, quads.T)
+    cells[:, 5] = _QUADS[_POINT]
+    cells = cells.view(np.uint8)
+    # The layout row of (k, end), end = 17 - trailing.
+    cells &= np.take(_FIXED_LAYOUTS, (k + 4) * 17 + 16 - trailing, axis=0)
+    return cells
+
+
+def _int_cells(v):
+    """Each int64 v >= 0 in decimal, as NUL-padded ASCII rows."""
+    width = 1 + np.searchsorted(_INT_POWERS, v, side="right")
+    count = -(-int(width.max()) // 4)
+    chars = np.take(_QUADS, _quads(v, count).T).view(np.uint8)
+    return chars * (np.arange(4 * count) >= 4 * count - width[:, None])
+
+
+def _text_cells(texts) -> NDArray[np.uint8]:
+    """ASCII strings as the rows of a NUL-padded byte matrix."""
+    cells = np.array(texts, dtype="S")
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+
+
+def _cells(column) -> NDArray[np.uint8]:
+    """A column's fields as NUL-padded ASCII rows.
+
+    A float array is spelled %.17g and an int array %d: vectorized where
+    the exact fast paths apply, by the format operator elsewhere.  Any
+    other column is a sequence of ASCII strings, written as given.
+    """
+    if not isinstance(column, np.ndarray):
+        return _text_cells(column)
+    if column.dtype.kind == "f":
+        fast = (column >= _FIXED_LO) & (column < _FIXED_HI)
+        digits, k, holds = _decimal(np.where(fast, column, 1.0))
+        cells = _fixed_cells(digits, k)
+        fast &= holds
+        spelling = _FLOAT_FORMAT
+    else:
+        column = column.astype(np.int64, copy=False)
+        fast = column >= 0
+        cells = _int_cells(np.where(fast, column, 0))
+        spelling = "%d"
+    if fast.all():
+        return cells
+    slow = ~fast
+    other = _text_cells([spelling % value for value in column[slow].tolist()])
+    merged = np.zeros((column.size, max(cells.shape[1], other.shape[1])), dtype=np.uint8)
+    merged[fast, : cells.shape[1]] = cells[fast]
+    merged[slow, : other.shape[1]] = other
+    return merged
+
+
+def _write_table(stream: IO[str], header: str, columns) -> None:
+    """Write ``header``, then a line of comma-separated fields per row of ``columns``.
+
+    A column is an array or a sequence of strings (see :func:`_cells`), or
+    a function from row indices to an int array, which is called a block
+    at a time; the sequences are equally long.  Each block of
+    _WRITE_LINES lines is formatted column by column into one NUL-padded
+    byte matrix, which loses its padding and is written at once.
+    """
     stream.write(header + "\n")
-    line = (row + "\n").__mod__
-    rows = iter(rows)
-    while block := "".join(map(line, islice(rows, _WRITE_LINES))):
-        stream.write(block)
+    rows = next(len(column) for column in columns if not callable(column))
+    for start in range(0, rows, _WRITE_LINES):
+        stream.write(_lines(columns, start, min(start + _WRITE_LINES, rows)))
+
+
+def _lines(columns, start: int, stop: int) -> str:
+    """Lines ``start`` to ``stop`` of a table."""
+    index = np.arange(start, stop)
+    cells = [_cells(c(index) if callable(c) else c[start:stop]) for c in columns]
+    lines = np.empty((stop - start, sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+    end = 0
+    for field in cells:
+        lines[:, end : end + field.shape[1]] = field
+        end += field.shape[1] + 1
+        lines[:, end - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    # Each copy of the block goes as soon as the next one is made.
+    del cells, field
+    text = lines.tobytes()
+    del lines
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def write_trajectory_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     """Long-format per-position table: iteration,position,sir,ber."""
-    # One iteration's row of the tables at a time becomes Python numbers.
-    rows = chain.from_iterable(
-        zip(repeat(i), count(), sir.tolist(), ber.tolist())
-        for i, (sir, ber) in enumerate(zip(traj.sir, traj.ber))
-    )
-    row = f"%d,%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT}"
-    _write_table(stream, "iteration,position,sir,ber", row, rows)
+    L = traj.sir.shape[1]
+    columns = (lambda i: i // L, lambda i: i % L, traj.sir.ravel(), traj.ber.ravel())
+    _write_table(stream, "iteration,position,sir,ber", columns)
 
 
 def write_summary_csv(traj: DeTrajectory, stream: IO[str]) -> None:
     """Per-iteration summary table: iteration,avg_ber,min_ber,argmin_position."""
-    columns = (traj.avg_ber.tolist(), traj.min_ber.tolist(), traj.argmin_position.tolist())
-    row = f"%d,{_FLOAT_FORMAT},{_FLOAT_FORMAT},%d"
-    _write_table(stream, "iteration,avg_ber,min_ber,argmin_position", row, zip(count(), *columns))
+    columns = (lambda i: i, traj.avg_ber, traj.min_ber, traj.argmin_position)
+    _write_table(stream, "iteration,avg_ber,min_ber,argmin_position", columns)

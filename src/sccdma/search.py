@@ -30,7 +30,6 @@ from .coupling import (
     to_base_matrix,
 )
 from .density_evolution import (
-    _FLOAT_FORMAT,
     SystemScenario,
     _lockstep,
     _sir_floor,
@@ -352,17 +351,17 @@ def write_search_csv(report: SearchReport, stream: IO[str]) -> None:
     The alpha_bp column appears whenever thresholds were requested;
     unreached targets and missing thresholds leave their fields empty.
     """
-    columns = 5 if report.with_thresholds else 4
-    header = ["index", "instance_seed", "iterations_to_target", "final_max_ber", "alpha_bp"]
-    row = ["%s", "%s", "%s", _FLOAT_FORMAT, "%s"]
-    rows = (
-        (
-            score.index,
-            score.instance_seed,
-            "" if score.iterations_to_target is None else score.iterations_to_target,
-            score.final_max_ber,
-            "" if score.threshold is None else format_float(score.threshold.alpha_bp),
-        )[:columns]
-        for score in report.scores
-    )
-    _write_table(stream, ",".join(header[:columns]), ",".join(row[:columns]), rows)
+    scores = report.scores
+    columns = [
+        [str(score.index) for score in scores],
+        [str(score.instance_seed) for score in scores],
+        ["" if s.iterations_to_target is None else str(s.iterations_to_target) for s in scores],
+        np.array([score.final_max_ber for score in scores], dtype=np.float64),
+    ]
+    header = "index,instance_seed,iterations_to_target,final_max_ber"
+    if report.with_thresholds:
+        header += ",alpha_bp"
+        columns.append(
+            ["" if s.threshold is None else format_float(s.threshold.alpha_bp) for s in scores]
+        )
+    _write_table(stream, header, columns)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
-    _FLOAT_FORMAT,
     _NO_TRAINING,
     SystemScenario,
     _lockstep,
@@ -328,13 +327,12 @@ def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
 
 def write_threshold_csv(result: ThresholdResult, stream: IO[str]) -> None:
     """Single-row report: alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol."""
-    values = (
+    floats = np.array([
         result.alpha_bp, *result.bracket, result.avg_load_at_threshold,
-        result.de_evaluations, result.success_ber, result.alpha_tol,
-    )
+        result.success_ber, result.alpha_tol,
+    ])[:, None]
     header = "alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol"
-    row = ",".join([_FLOAT_FORMAT] * 4 + ["%d"] + [_FLOAT_FORMAT] * 2)
-    _write_table(stream, header, row, [values])
+    _write_table(stream, header, [*floats[:4], np.array([result.de_evaluations]), *floats[4:]])
 
 
 def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
@@ -343,6 +341,10 @@ def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
     A certified failure reads converged false with iterations below the
     budget; see :class:`DeEvaluation`.
     """
-    rows = ((ev.alpha, str(ev.converged).lower(), ev.max_ber, ev.iterations) for ev in result.log)
-    row = f"{_FLOAT_FORMAT},%s,{_FLOAT_FORMAT},%d"
-    _write_table(stream, "alpha,converged,max_ber,iterations", row, rows)
+    columns = (
+        np.array([ev.alpha for ev in result.log], dtype=np.float64),
+        ["true" if ev.converged else "false" for ev in result.log],
+        np.array([ev.max_ber for ev in result.log], dtype=np.float64),
+        np.array([ev.iterations for ev in result.log], dtype=np.int64),
+    )
+    _write_table(stream, "alpha,converged,max_ber,iterations", columns)

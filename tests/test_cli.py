@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -445,6 +446,49 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _fresh_interpreter(code: str, **env) -> str:
+    """Standard output of ``code`` run by a new interpreter, OPENBLAS_THREAD_TIMEOUT unset unless given."""
+    environ = {key: value for key, value in os.environ.items() if key != "OPENBLAS_THREAD_TIMEOUT"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**environ, **env}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_sets_no_variable_and_loads_no_numpy_until_a_name_is_used():
+    shown = "import os, sys, sccdma; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'), 'numpy' in sys.modules)"
+    assert _fresh_interpreter(shown) == "None False"
+    assert _fresh_interpreter("import sys, sccdma; sccdma.run_de; print('numpy' in sys.modules)") == "True"
+
+
+@pytest.mark.parametrize("given, kept", [(None, "4"), ("28", "28"), ("0", "0")])
+def test_cli_import_sets_the_openblas_timeout_unless_the_user_did(given, kept):
+    env = {} if given is None else {"OPENBLAS_THREAD_TIMEOUT": given}
+    code = "import os, sccdma.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    assert _fresh_interpreter(code, **env) == kept
+
+
+def test_de_bytes_do_not_depend_on_the_openblas_timeout(tmp_path):
+    # At L = 128 OpenBLAS runs the matvec on two threads where it has them.
+    graph = tmp_path / "regular128.json"
+    graph.write_text(serialize_graph(make_regular(128, 2), TrainingAssignment((0, 1, 2, 3), 4)))
+    outputs = []
+    for timeout in ("4", "28"):
+        names = (tmp_path / f"t{timeout}.csv", tmp_path / f"s{timeout}.csv")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "sccdma.cli", "de", "--graph", str(graph), "--snr-db", "10",
+                "--alpha-tr", "1.45", "--alpha", "1.9", "--max-iter", "300",
+                "--out-trajectory", str(names[0]), "--out-summary", str(names[1]),
+            ],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_THREAD_TIMEOUT": timeout},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([name.read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
 def test_threshold_requires_graph_or_uncoupled():
     proc = run_cli("threshold", "--snr-db", 10)
     assert proc.returncode == 2
@@ -530,6 +574,32 @@ def test_threshold_and_search_print_one_message_per_bad_bisection_flag(tmp_path,
         (*_search_args(tmp_path / "report.csv"), "--with-thresholds"),
     ):
         code, out, err = run_main((*argv, budget[argv[0]] if flag == "budget" else flag, value))
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith("error:") and errors[0].count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [("--alpha-hi", 1e306), ("--alpha-lo", 3), ("--alpha-tol", -1), ("--success-ber", 5e-4), ("budget", 0)],
+    ids=["alpha_hi", "alpha_lo", "alpha_tol", "success_ber", "budget"],
+)
+@pytest.mark.parametrize(
+    "system", [("--snr-db", "nan"), ("--alpha-tr", 0), ("--tol", -1)], ids=["snr_db", "alpha_tr", "tol"]
+)
+def test_threshold_and_search_name_the_same_flag_of_a_bad_system_and_a_bad_plan(
+    tmp_path, system, plan
+):
+    # Both commands check the noise level, then the plan, then the rest of the system.
+    budget = {"threshold": "--max-iter", "search": "--threshold-max-iter"}
+    flag, value = plan
+    errors = []
+    for argv in (
+        ("threshold", "--uncoupled", "--snr-db", 10),
+        (*_search_args(tmp_path / "report.csv"), "--with-thresholds"),
+    ):
+        code, out, err = run_main((*argv, *system, budget[argv[0]] if flag == "budget" else flag, value))
         assert code == 2 and out == ""
         errors.append(err)
     assert errors[0] == errors[1], errors

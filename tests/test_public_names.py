@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sccdma
+from sccdma import coupling, density_evolution, search, threshold
 
 PUBLIC_NAMES = [
     "BaseMatrix", "BisectionPlan", "BracketError", "CouplingGraph",
@@ -25,3 +26,10 @@ def test_public_names_are_pinned_listed_once_and_resolve():
     assert sorted(sccdma.__all__) == PUBLIC_NAMES
     assert len(set(sccdma.__all__)) == len(sccdma.__all__)
     assert [name for name in sccdma.__all__ if not hasattr(sccdma, name)] == []
+
+
+def test_the_package_lists_each_modules_names_in_order_and_dir_shows_them():
+    modules = (coupling, density_evolution, search, threshold)
+    assert sccdma.__all__ == [*(name for m in modules for name in m.__all__), "__version__"]
+    assert set(sccdma.__all__) <= set(dir(sccdma))
+    assert all(getattr(sccdma, m.__name__.rpartition(".")[2]) is m for m in modules)
