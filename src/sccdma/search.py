@@ -5,16 +5,16 @@ number of density-evolution iterations until the average BER reaches a
 target, and reports the instances in ranked order.  Instance seeds
 derive from (master_seed, index) through a fixed mixing function, so
 results are reproducible and independent of evaluation order.
-One loop samples the instances into a block buffer and scores each
-block as one stack of states that steps through density evolution in
-lockstep; scores are built as the stack's rows retire.
+The instances are scored in one running stack of states that steps
+through density evolution in lockstep: each row's score is built as it
+retires, and the next instance is sampled into its slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -69,8 +69,8 @@ _THRESHOLD_FINALISTS = 10
 # 2^16 samples, 327 times the 200-instance search: the ranked report
 # holds a score of about 300 bytes for each, near 19 MiB in all.
 _MAX_SAMPLES = 1 << 16
-# Bytes of stacked bsq per scoring block, 32 instances at L = 64: one stack
-# of every instance would hold all their L x L matrices at once.
+# Bytes of stacked bsq in search's running stack, 32 instances at L = 64:
+# one stack of every instance would hold all their L x L matrices at once.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -168,24 +168,26 @@ def _instance_row(
 
 
 def _score_stack(
-    labels: list[tuple[int | None, int | None]],
-    bsq: NDArray[np.float64],
-    loads: NDArray[np.float64],
+    queue: Iterator[tuple[NDArray[np.float64], NDArray[np.float64], int | None, int | None]],
+    slots: int,
+    L: int,
     sigma2: float,
     target_ber: float,
     max_iter: int,
     tol: float,
 ) -> list[InstanceScore]:
-    """Run DE from zero on a stack of instances in lockstep, one per row.
+    """Run DE from zero on every instance of ``queue`` in one running stack of ``slots`` rows.
 
-    Row i of ``bsq`` (n, L, L) and ``loads`` (n, L) is the instance with
-    (seed, index) ``labels[i]``.  Each row retires as it stops, into the
+    ``queue`` yields each instance as (bsq, loads, seed, index), with bsq
+    (L, L) and loads (L,).  The stack steps its rows in lockstep, each
+    with its own step count.  Each row retires as it stops, into the
     :class:`InstanceScore` of what search reads of its run: the first
     step at which its average BER is at or below ``target_ber`` (step 0
     included; None if never), the maximum BER of its last state and its
-    step count.  The survivors are compacted in place, so ``bsq`` is
-    overwritten.  A row's score equals its run alone; the scores keep the
-    rows' order.
+    step count.  Its slot then takes the next instance of the queue, from
+    zero.  Once the queue is empty, the last rows of the stack move into
+    the slots that stay empty.  A row's score equals its run alone;
+    scores come in the order the rows retire.
 
     Only rows whose mean SIR is at or above ``_sir_floor(target_ber)`` get
     the exact average-BER test.  The others are provably above the target:
@@ -194,37 +196,60 @@ def _score_stack(
     plus what qfunc may drop below the normal range.  So the results are
     those of the exact test on every row.
     """
-    first = np.full(len(labels), -1)
-    scores: list = [None] * len(labels)  # each row's score, set as it retires
-    rows = np.arange(len(labels))  # stack row -> block row
-    sir = np.zeros(loads.shape)
+    bsq = np.empty((slots, L, L))
+    loads = np.empty((slots, L))
+    sir = np.empty((slots, L))
+    steps = np.empty(slots, dtype=np.int64)
+    first = np.empty(slots, dtype=np.int64)  # each row's first step at the target, or -1
+    labels: list = [None] * slots  # each row's (seed, index)
     sir_floor = _sir_floor(target_ber)
-    step = -1  # steps taken to reach the last recorded state
+    # Whether the zero start is at the target, by the test record makes.
+    start = 0 if sir_floor <= 0.0 and ber_of(np.zeros(L)).mean() <= target_ber else -1
+    scores = []
+    n = 0  # rows in the stack, in slots [0, n)
+    taken = 0  # steps of the current _lockstep call so far
+
+    def join(slot):
+        # The next instance takes ``slot``; False once the queue is empty.
+        item = next(queue, None)
+        if item is None:
+            return False
+        bsq[slot], loads[slot], *labels[slot] = item
+        sir[slot] = 0.0
+        steps[slot] = 0
+        first[slot] = start
+        return True
 
     def record(state):
         # Rows already at the target, or with a mean SIR below the floor, skip the BER.
-        nonlocal step
-        step += 1
-        near = np.flatnonzero((first[rows] < 0) & (state.mean(axis=1) >= sir_floor))
+        nonlocal taken
+        taken += 1
+        near = np.flatnonzero((first[:n] < 0) & (np.add.reduce(state, axis=1) / L >= sir_floor))
         if near.size:
-            at_target = ber_of(state[near]).mean(axis=1) <= target_ber
-            first[rows[near[at_target]]] = step
+            near = near[ber_of(state[near]).mean(axis=1) <= target_ber]
+            first[near] = steps[near] + taken
 
-    record(sir)
-    while rows.size:
-        sir, _, _, done = _lockstep(
-            sir, step, bsq[: rows.size], sigma2, loads, max_iter, tol, record
+    while n < slots and join(n):
+        n += 1
+    while n:
+        taken = 0
+        sir[:n], steps[:n], _, done = _lockstep(
+            sir[:n], steps[:n], bsq[:n], sigma2, loads[:n], max_iter, tol, record
         )
-        for row, max_ber in zip(rows[done].tolist(), ber_of(sir[done]).max(axis=1).tolist()):
-            seed, index = labels[row]
-            reached = None if first[row] < 0 else int(first[row])
-            scores[row] = InstanceScore(seed, reached, max_ber, step, index=index)
-        keep = np.flatnonzero(~done)
-        # keep ascends, so each row moves down onto one that has retired or moved.
-        for dst, src in enumerate(keep):
-            if dst != src:
-                bsq[dst] = bsq[src]
-        sir, loads, rows = sir[keep], loads[keep], rows[keep]
+        retired = np.flatnonzero(done)
+        for slot, max_ber in zip(retired.tolist(), ber_of(sir[retired]).max(axis=1).tolist()):
+            seed, index = labels[slot]
+            reached = None if first[slot] < 0 else int(first[slot])
+            scores.append(InstanceScore(seed, reached, max_ber, int(steps[slot]), index=index))
+        empty = [slot for slot in retired.tolist() if not join(slot)]
+        if empty:
+            # Rows above the new top fill the empty slots below it.
+            n -= len(empty)
+            below = [slot for slot in empty if slot < n]
+            above = sorted(set(range(n, n + len(empty))) - set(empty))
+            for dst, src in zip(below, above):
+                bsq[dst], loads[dst], sir[dst] = bsq[src], loads[src], sir[src]
+                steps[dst], first[dst], labels[dst] = steps[src], first[src], labels[src]
     return scores
 
 
@@ -239,14 +264,14 @@ def score_instance(
     """Run density evolution and record iterations to the average-BER target.
 
     The system is ``scen`` with the instance's own training assignment in
-    place of the scenario's.  The result equals the instance's score in any
-    :func:`ensemble_search` block.
+    place of the scenario's.  The instance is the one row of its own
+    running stack, and the result equals its score in
+    :func:`ensemble_search`, whatever rows it shares a stack with there.
     """
     check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
-    bsq, loads, seed = _instance_row(g, assignment, scen)
     [score] = _score_stack(
-        [(seed, None)], bsq[None].copy(), loads[None],
+        iter([(*_instance_row(g, assignment, scen), None)]), 1, g.L,
         scen.sigma2, target_ber, max_iter, sir_tol,
     )
     return score
@@ -262,7 +287,7 @@ def _rank_key(score: InstanceScore) -> tuple[float, float, int]:
 
 
 def _block_rows(L: int) -> int:
-    """Instances per scoring block: at most _BLOCK_BYTES of stacked bsq, and at least one."""
+    """Slots of search's running stack: at most _BLOCK_BYTES of stacked bsq, and at least one."""
     return max(1, _BLOCK_BYTES // (L * L * 8))
 
 
@@ -284,38 +309,36 @@ def ensemble_search(
     alpha_tr of ``scen`` and ``sir_tol``.  A finalist that cannot be
     bisected is recorded in ``failures`` and keeps no threshold.
 
-    One loop samples and scores the instances in blocks of consecutive
-    indices.  Each block refills one buffer, allocated once, of at most
-    1 MiB of base matrices (32 instances at L = 64, or one instance where
-    that is larger), and scores it as one lockstep stack.  An instance
+    One running stack scores the instances: a buffer, allocated once, of
+    at most 1 MiB of base matrices (32 instances at L = 64, or one
+    instance where that is larger).  Instances are sampled in ascending
+    index order, each as a slot of the stack comes free, and step through
+    density evolution in lockstep with the rows beside them.  An instance
     that cannot be sampled is recorded in ``failures`` as (index, "Type:
-    message"), and the rest of its block is still scored.  The report
-    does not depend on the blocks, because every instance derives from
-    its own index and scores alone.
+    message"), and the next one takes its place.  The report does not
+    depend on which instances share a stack, because every instance
+    derives from its own index and scores alone.
     """
     # Checked before any sampling starts, so bad arguments fail up front.
     if thresholds is not None:
         check_plan(thresholds, scen.sigma2, scen.alpha_tr, sir_tol)
     check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
-    rows = min(_block_rows(spec.L), spec.n_samples)
-    bsq = np.empty((rows, spec.L, spec.L))
-    loads = np.empty((rows, spec.L))
-    scores, failures = [], []
-    for start in range(0, spec.n_samples, rows):
-        labels = []
-        for index in range(start, min(start + rows, spec.n_samples)):
-            row = len(labels)
+    failures = []
+
+    def instances():
+        for index in range(spec.n_samples):
             try:
-                bsq[row], loads[row], seed = _instance_row(*sample_instance(spec, index), scen)
+                row = _instance_row(*sample_instance(spec, index), scen)
             except Exception as exc:  # recorded per instance, search continues
                 failures.append((index, f"{type(exc).__name__}: {exc}"))
             else:
-                labels.append((seed, index))
-        n = len(labels)
-        scores.extend(
-            _score_stack(labels, bsq[:n], loads[:n], scen.sigma2, target_ber, max_iter, sir_tol)
-        )
+                yield *row, index
+
+    slots = min(_block_rows(spec.L), spec.n_samples)
+    scores = _score_stack(
+        instances(), slots, spec.L, scen.sigma2, target_ber, max_iter, sir_tol
+    )
     if not scores:
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)

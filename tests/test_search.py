@@ -266,8 +266,8 @@ def test_ensemble_search_rewires_through_the_search_module(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
 def test_ensemble_search_block_size_invariance(monkeypatch, rows):
-    # A row's score must not depend on the block it is stacked in.  The
-    # 50-step budget makes three of the twelve rows run out mid-block.
+    # A row's score must not depend on the rows it shares the stack with.
+    # The 50-step budget makes three of the twelve rows run out of steps.
     default = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
     monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
     assert search._block_rows(SPEC_32.L) == rows
@@ -297,7 +297,7 @@ def _table_score(traj, target):
 
 
 def test_ensemble_search_schedule_is_frozen(monkeypatch, runs_32):
-    # The twelve instances fit one block, so search takes as many lockstep
+    # The twelve instances fit one stack, so search takes as many lockstep
     # de_step calls as its longest run (50, the budget; three run out) and
     # advances as many rows as the instances' run_de iterations together.
     stacks = []
@@ -313,6 +313,44 @@ def test_ensemble_search_schedule_is_frozen(monkeypatch, runs_32):
     assert sum(stacks) == sum(traj.iterations_run for traj in runs_32)
     assert (len(stacks), sum(stacks)) == (50, 539)
     # Each score is what its run_de table gives.
+    for score in report.scores:
+        assert (
+            score.iterations_to_target,
+            score.final_max_ber,
+            score.iterations,
+        ) == _table_score(runs_32[score.index], TARGET)
+
+
+def test_ensemble_search_refills_each_slot_as_its_instance_retires(monkeypatch, runs_32):
+    # Five slots for the twelve instances under the 50-step budget: each
+    # retiring row's slot takes the next instance, sampled then, so the
+    # stack steps five rows until the queue is empty and then drains.
+    monkeypatch.setattr(search, "_BLOCK_BYTES", 5 * SPEC_32.L**2 * 8)
+    sampled = []
+    real_sample = search.sample_instance
+
+    def logging_sample(spec, index):
+        sampled.append(index)
+        return real_sample(spec, index)
+
+    stacks = []  # (rows, whether an instance was still queued) of each de_step call
+    real_de_step = density_evolution.de_step
+
+    def counting_de_step(sir, *args):
+        stacks.append((sir.shape[0], len(sampled) < SPEC_32.n_samples))
+        return real_de_step(sir, *args)
+
+    monkeypatch.setattr(search, "sample_instance", logging_sample)
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    rows = [n for n, _ in stacks]
+    assert len(stacks) == 137
+    assert sum(rows) == sum(score.iterations for score in report.scores)
+    assert sum(rows) == sum(traj.iterations_run for traj in runs_32)
+    # Every index once, in order, then the best instance for the report.
+    assert sampled == [*range(SPEC_32.n_samples), report.scores[0].index]
+    assert all(n == 5 for n, queued in stacks if queued)
+    assert rows == sorted(rows, reverse=True)
     for score in report.scores:
         assert (
             score.iterations_to_target,
@@ -346,8 +384,8 @@ def test_scores_equal_their_run_de_tables_at_every_target(runs_32, target):
 @pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
 def test_mean_sir_floor_leaves_few_rows_to_the_exact_test(monkeypatch, rows):
     # Without the floor every waiting row takes the exact test at each step:
-    # 388 rows, plus the 12 final max-BER rows.  With it, 31 rows do, in any
-    # block size; all twelve instances still reach the target.
+    # 388 rows, plus the 12 final max-BER rows.  With it, 31 rows do, at any
+    # stack size; all twelve instances still reach the target.
     monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
     ber_rows = []
     real_ber_of = search.ber_of
@@ -400,10 +438,9 @@ def test_sir_floor_edges():
 
 @pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
 def test_ensemble_search_records_sampling_failure_and_scores_the_rest(monkeypatch, rows):
-    # With one-row blocks the failing instance leaves its block empty; with
-    # five-row blocks it is the first of the second block, so that refill
-    # of the reused buffer holds four rows, after a full block and before
-    # the two-row last block.
+    # With one slot the failing instance is skipped between two runs; with
+    # five it is the first to be sampled into a retired row's slot, so
+    # instance 6 takes that slot instead.
     clean = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=80)
     monkeypatch.setattr(search, "_BLOCK_BYTES", rows * SPEC_32.L**2 * 8)
     real_sample = search.sample_instance
