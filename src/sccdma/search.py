@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from typing import IO, Iterator
 
 import numpy as np
@@ -31,8 +32,8 @@ from .coupling import (
 )
 from .density_evolution import (
     SystemScenario,
-    _lockstep,
     _sir_floor,
+    _Stack,
     _write_table,
     ber_of,
     check_de_budget,
@@ -157,18 +158,16 @@ def sample_instance(
 
 
 def _instance_row(
-    g: CouplingGraph, assignment: TrainingAssignment, scen: SystemScenario
-) -> tuple[NDArray[np.float64], NDArray[np.float64], int | None]:
-    """(bsq, loads, seed) of one instance; its training assignment supersedes the scenario's."""
-    return (
-        to_base_matrix(g).bsq,
-        replace(scen, training_set=assignment).row_loads(g.L),
-        None if g.provenance is None else g.provenance.seed,
-    )
+    g: CouplingGraph, assignment: TrainingAssignment, scen: SystemScenario, index: int | None = None
+) -> tuple[tuple[int | None, int | None], NDArray[np.float64], NDArray[np.float64]]:
+    """One instance as a stack row ((seed, index), loads, bsq), with its own training set."""
+    seed = None if g.provenance is None else g.provenance.seed
+    loads = replace(scen, training_set=assignment).row_loads(g.L)
+    return (seed, index), loads, to_base_matrix(g).bsq
 
 
 def _score_stack(
-    queue: Iterator[tuple[NDArray[np.float64], NDArray[np.float64], int | None, int | None]],
+    queue: Iterator[tuple[tuple[int | None, int | None], NDArray[np.float64], NDArray[np.float64]]],
     slots: int,
     L: int,
     sigma2: float,
@@ -178,16 +177,15 @@ def _score_stack(
 ) -> list[InstanceScore]:
     """Run DE from zero on every instance of ``queue`` in one running stack of ``slots`` rows.
 
-    ``queue`` yields each instance as (bsq, loads, seed, index), with bsq
-    (L, L) and loads (L,).  The stack steps its rows in lockstep, each
+    ``queue`` yields each instance as ((seed, index), loads, bsq), with
+    loads (L,) and bsq (L, L).  The stack steps its rows in lockstep, each
     with its own step count.  Each row retires as it stops, into the
     :class:`InstanceScore` of what search reads of its run: the first
     step at which its average BER is at or below ``target_ber`` (step 0
     included; None if never), the maximum BER of its last state and its
-    step count.  Its slot then takes the next instance of the queue, from
-    zero.  Once the queue is empty, the last rows of the stack move into
-    the slots that stay empty.  A row's score equals its run alone;
-    scores come in the order the rows retire.
+    step count.  The next instance of the queue then joins, from zero, in
+    the slot it leaves.  A row's score equals its run alone; scores come
+    in the order the rows retire.
 
     Only rows whose mean SIR is at or above ``_sir_floor(target_ber)`` get
     the exact average-BER test.  The others are provably above the target:
@@ -196,61 +194,31 @@ def _score_stack(
     plus what qfunc may drop below the normal range.  So the results are
     those of the exact test on every row.
     """
-    bsq = np.empty((slots, L, L))
-    loads = np.empty((slots, L))
-    sir = np.empty((slots, L))
-    steps = np.empty(slots, dtype=np.int64)
-    first = np.empty(slots, dtype=np.int64)  # each row's first step at the target, or -1
-    labels: list = [None] * slots  # each row's (seed, index)
+    stack = _Stack(L, slots)
     sir_floor = _sir_floor(target_ber)
-    # Whether the zero start is at the target, by the test record makes.
+    # A row's mark is its first step at the target, or -1: 0 at its start
+    # if the zero state is at the target, by the test record makes.
     start = 0 if sir_floor <= 0.0 and ber_of(np.zeros(L)).mean() <= target_ber else -1
     scores = []
-    n = 0  # rows in the stack, in slots [0, n)
-    taken = 0  # steps of the current _lockstep call so far
-
-    def join(slot):
-        # The next instance takes ``slot``; False once the queue is empty.
-        item = next(queue, None)
-        if item is None:
-            return False
-        bsq[slot], loads[slot], *labels[slot] = item
-        sir[slot] = 0.0
-        steps[slot] = 0
-        first[slot] = start
-        return True
 
     def record(state):
         # Rows already at the target, or with a mean SIR below the floor, skip the BER.
-        nonlocal taken
-        taken += 1
-        near = np.flatnonzero((first[:n] < 0) & (np.add.reduce(state, axis=1) / L >= sir_floor))
+        first = stack.mark[: len(state)]
+        near = np.flatnonzero((first < 0) & (np.add.reduce(state, axis=1) / L >= sir_floor))
         if near.size:
             near = near[ber_of(state[near]).mean(axis=1) <= target_ber]
-            first[near] = steps[near] + taken
+            first[near] = stack.clock - stack.start[near]
 
-    while n < slots and join(n):
-        n += 1
-    while n:
-        taken = 0
-        sir[:n], steps[:n], _, done = _lockstep(
-            sir[:n], steps[:n], bsq[:n], sigma2, loads[:n], max_iter, tol, record
-        )
-        retired = np.flatnonzero(done)
-        for slot, max_ber in zip(retired.tolist(), ber_of(sir[retired]).max(axis=1).tolist()):
-            seed, index = labels[slot]
-            reached = None if first[slot] < 0 else int(first[slot])
-            scores.append(InstanceScore(seed, reached, max_ber, int(steps[slot]), index=index))
-        empty = [slot for slot in retired.tolist() if not join(slot)]
-        if empty:
-            # Rows above the new top fill the empty slots below it.
-            n -= len(empty)
-            below = [slot for slot in empty if slot < n]
-            above = sorted(set(range(n, n + len(empty))) - set(empty))
-            for dst, src in zip(below, above):
-                bsq[dst], loads[dst], sir[dst] = bsq[src], loads[src], sir[src]
-                steps[dst], first[dst], labels[dst] = steps[src], first[src], labels[src]
-    return scores
+    while True:
+        for row in islice(queue, slots - len(stack)):
+            stack.join(*row, mark=start)
+        if not stack:
+            return scores
+        labels, sir, steps, _, marks = stack.run(sigma2, max_iter, tol, record)
+        max_bers = ber_of(sir).max(axis=1).tolist()
+        for (seed, index), max_ber, n, mark in zip(labels, max_bers, steps, marks):
+            reached = None if mark < 0 else mark
+            scores.append(InstanceScore(seed, reached, max_ber, n, index=index))
 
 
 def score_instance(
@@ -271,7 +239,7 @@ def score_instance(
     check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
     [score] = _score_stack(
-        iter([(*_instance_row(g, assignment, scen), None)]), 1, g.L,
+        iter([_instance_row(g, assignment, scen)]), 1, g.L,
         scen.sigma2, target_ber, max_iter, sir_tol,
     )
     return score
@@ -329,11 +297,11 @@ def ensemble_search(
     def instances():
         for index in range(spec.n_samples):
             try:
-                row = _instance_row(*sample_instance(spec, index), scen)
+                row = _instance_row(*sample_instance(spec, index), scen, index)
             except Exception as exc:  # recorded per instance, search continues
                 failures.append((index, f"{type(exc).__name__}: {exc}"))
             else:
-                yield *row, index
+                yield row
 
     slots = min(_block_rows(spec.L), spec.n_samples)
     scores = _score_stack(

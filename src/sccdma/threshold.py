@@ -26,8 +26,8 @@ from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positi
 from .density_evolution import (
     _NO_TRAINING,
     SystemScenario,
-    _lockstep,
     _sir_floor,
+    _Stack,
     _write_table,
     ber_of,
     check_de_budget,
@@ -200,37 +200,36 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     ends, failure below success, raise :class:`RuntimeError`; other ends
     that do not straddle the threshold raise :class:`BracketError`.  The
     path probes ``alpha_lo``, then ``alpha_hi``, then the midpoint of the
-    current bracket.  A probe's DE run does not depend on any other probe,
-    so the current probe runs in one lockstep stack with the ends still
-    unlogged and every midpoint of the next ``_SPECULATION_DEPTH`` levels
-    below it (at most 9 states).  ``probes`` maps each of those loads to
-    its run's state (sir, steps, row loads, last sir change) or, once it
-    stops, its evaluation; a load that the path rules out leaves the table
-    and the next level joins it.  Every load is a distinct key:
-    :class:`BisectionPlan` keeps the bracket wider than two float spacings,
-    so each midpoint lies strictly inside it.
+    current bracket.  The current probe runs in one lockstep stack with
+    the ends still unlogged and every midpoint of the next
+    ``_SPECULATION_DEPTH`` levels below it (at most 9 rows).  ``probes``
+    maps each of those loads to its evaluation, or to None while it runs;
+    a load that the path rules out leaves the table and the stack, and
+    the next level joins both.  :class:`BisectionPlan` keeps the bracket
+    wider than two float spacings, so each midpoint lies strictly inside
+    it and every load is a distinct key.
 
-    The stack steps through the loop of :func:`run_de`, which also stops
-    a probe once a super-solution certifies its failure: some position's
-    SIR stays at or below the floor of ``success_ber`` (see
-    ``density_evolution._CERTIFY_MARGIN``).  Such a probe is logged with
-    ``converged`` false, ``iterations`` its step at the certificate, below
-    ``max_iter``, and ``max_ber`` that of its last state.  A row's update,
-    and its certificate, do not depend on the rows beside it, so the
-    logged evaluations, and the path they take, are those of probing one
-    load after another through the same loop.  A certified failure is a
-    failure of the run to convergence or budget, so the bracket and every
-    probe's success flag are those of one :func:`run_de` per probe.
+    A probe also stops once a super-solution certifies its failure: some
+    position's SIR stays at or below the floor of ``success_ber`` (see
+    ``density_evolution._CERTIFY_MARGIN``).  It is logged with
+    ``converged`` false, ``iterations`` its step at the certificate,
+    below ``max_iter``, and ``max_ber`` that of its last state.  A row's
+    update and certificate do not depend on the rows beside it, so the
+    log, and the path it takes, are those of probing one load after
+    another through the same loop.  A certified failure is a failure of
+    the run to convergence or budget, so the bracket and every success
+    flag are those of one :func:`run_de` per probe.
     """
     L, tol = query.B.L, query.alpha_tol
     floor = _sir_floor(query.success_ber)
     ends = (query.alpha_lo, query.alpha_hi)
     lo, hi = ends
     log: list[DeEvaluation] = []
-    probes: dict[float, DeEvaluation | tuple] = {}
+    probes: dict[float, DeEvaluation | None] = {}
+    stack = _Stack(L, 2 ** (_SPECULATION_DEPTH + 1) + 1, query.B.bsq)
     while len(log) < 2 or hi - lo > tol:
         probe = probes.get(ends[len(log)] if len(log) < 2 else 0.5 * (lo + hi))
-        if isinstance(probe, DeEvaluation):
+        if probe is not None:
             log.append(probe)
             # On bracket ends that straddle the threshold this changes nothing.
             if probe.success:
@@ -255,31 +254,16 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
             continue
 
         midpoints = (0.5 * (a + b) for a, b in _subtree(lo, hi, tol, _SPECULATION_DEPTH))
-        probes = {
-            alpha: probes[alpha]
-            if alpha in probes
-            else (np.zeros(L), 0, query.scenario(alpha).row_loads(L), math.inf)
-            for alpha in (*ends[len(log) :], *midpoints)
-        }
-        running = [alpha for alpha, state in probes.items() if not isinstance(state, DeEvaluation)]
-        sir, steps, loads, last = map(np.array, zip(*(probes[alpha] for alpha in running)))
-        sir, steps, converged, done = _lockstep(
-            sir, steps, query.B.bsq, query.sigma2, loads, query.max_iter, query.sir_tol,
-            certify=(floor, last),
+        wanted = {alpha: probes.get(alpha) for alpha in (*ends[len(log) :], *midpoints)}
+        stack.drop(probes.keys() - wanted.keys())
+        for alpha in wanted.keys() - probes.keys():
+            stack.join(alpha, query.scenario(alpha).row_loads(L))
+        probes = wanted
+        alphas, sir, steps, converged, _ = stack.run(
+            query.sigma2, query.max_iter, query.sir_tol, floor=floor
         )
-        max_bers = ber_of(sir).max(axis=1).tolist()
-        for i, alpha in enumerate(running):
-            probes[alpha] = (
-                DeEvaluation(
-                    alpha=alpha,
-                    converged=bool(converged[i]),
-                    max_ber=max_bers[i],
-                    iterations=int(steps[i]),
-                    success=bool(converged[i]) and max_bers[i] <= query.success_ber,
-                )
-                if done[i]
-                else (sir[i], steps[i], loads[i], last[i])
-            )
+        for alpha, max_ber, n, ok in zip(alphas, ber_of(sir).max(axis=1).tolist(), steps, converged):
+            probes[alpha] = DeEvaluation(alpha, ok, max_ber, n, ok and max_ber <= query.success_ber)
     return ThresholdResult(
         bracket=(lo, hi),
         avg_load_at_threshold=average_load(query.alpha_tr, lo, query.training_set.tau, L),

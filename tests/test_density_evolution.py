@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import functools
 import io
 import math
 import sys
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -37,8 +38,9 @@ from sccdma.density_evolution import (
     _MMSE_UPPER,
     _PIECE_START,
     _Q_BLOCK,
-    _lockstep,
+    _Stack,
     _mmse_pieces,
+    _sir_floor,
     _mmse_quadrature,
     _piece_index,
 )
@@ -399,28 +401,24 @@ def test_lockstep_rows_joining_late_stop_where_run_de_stops():
     def row_loads(alpha):
         return _scenario(alpha, training=assignment).row_loads(B.L)
 
-    ahead, ahead_steps, _, _ = _lockstep(np.zeros(B.L), 0, B.bsq, 0.1, row_loads(1.85), 1, tol)
-    alphas, joined_at, outcomes = [1.85], {1.85: -1}, {}
-    sir, loads, steps = ahead[None, :], row_loads(1.85)[None, :], np.array([ahead_steps])
+    stack = _Stack(B.L, 8, B.bsq)
+    stack.join(1.85, row_loads(1.85))
+    # The head start: its slot holds the state after one step, and it
+    # started one clock tick before the stack's.
+    stack.sir[0], _ = de_step(np.zeros(B.L), B.bsq, 0.1, row_loads(1.85))
+    stack.start[0] -= 1
+    joined_at, outcomes = {1.85: -1}, {}
     pending = [1.8, 1.2, 1.5, 1.75, 2.2, 1.9, 2.5]
-    clock = 0
-    while pending or alphas:
+    while pending or stack:
         for alpha in pending[:2]:
-            alphas.append(alpha)
-            joined_at[alpha] = clock
-            sir = np.vstack([sir, np.zeros(B.L)])
-            loads = np.vstack([loads, row_loads(alpha)])
-            steps = np.append(steps, 0)
+            stack.join(alpha, row_loads(alpha))
+            joined_at[alpha] = stack.clock
         del pending[:2]
-        before = int(steps[0])
-        sir, steps, converged, done = _lockstep(sir, steps, B.bsq, 0.1, loads, max_iter, tol)
-        clock += int(steps[0]) - before
-        for i in np.flatnonzero(done):
-            outcomes[alphas[i]] = (sir[i], bool(converged[i]), int(steps[i]))
-        keep = np.flatnonzero(~done)
-        sir, loads, steps = sir[keep], loads[keep], steps[keep]
-        alphas = [alphas[i] for i in keep]
+        alphas, sir, steps, converged, _ = stack.run(0.1, max_iter, tol)
+        for alpha, last, n_steps, ok in zip(alphas, sir, steps, converged):
+            outcomes[alpha] = (last, ok, n_steps)
     assert len(set(joined_at.values())) == 5
+    assert outcomes.keys() == joined_at.keys()
     for alpha, (last, converged, n_steps) in outcomes.items():
         traj = run_de(B, _scenario(alpha, training=assignment), max_iter=max_iter, tol=tol)
         assert np.array_equal(last, traj.sir[-1]), alpha
@@ -447,32 +445,21 @@ def test_lockstep_rows_with_their_own_graphs_are_monotone_and_equal_run_de():
     def base(case):
         return to_base_matrix(graphs[case[0]][0])
 
-    pending, ids, paths, outcomes, joined_at = list(cases), [], {}, {}, {}
-    sir, loads, bsq = np.empty((0, 32)), np.empty((0, 32)), np.empty((0, 32, 32))
-    steps = np.empty(0, dtype=np.intp)
-    clock = 0
+    stack = _Stack(32, len(cases))
+    pending, paths, outcomes, joined_at = list(cases), {}, {}, {}
 
     def record(state):
-        for i, case in enumerate(ids):
-            paths[case].append(state[i])
+        for case, row in zip(stack.ids, state):
+            paths[case].append(row)
 
-    while pending or ids:
+    while pending or stack:
         for case in pending[:2]:
-            ids.append(case)
-            paths[case], joined_at[case] = [np.zeros(32)], clock
-            sir = np.vstack([sir, np.zeros(32)])
-            loads = np.vstack([loads, scenario(case).row_loads(32)])
-            bsq = np.concatenate([bsq, base(case).bsq[None]])
-            steps = np.append(steps, 0)
+            stack.join(case, scenario(case).row_loads(32), base(case).bsq)
+            paths[case], joined_at[case] = [np.zeros(32)], stack.clock
         del pending[:2]
-        before = int(steps[0])
-        sir, steps, converged, done = _lockstep(sir, steps, bsq, 0.1, loads, max_iter, tol, record)
-        clock += int(steps[0]) - before
-        for i in np.flatnonzero(done):
-            outcomes[ids[i]] = (bool(converged[i]), int(steps[i]))
-        keep = np.flatnonzero(~done)
-        sir, loads, bsq, steps = sir[keep], loads[keep], bsq[keep], steps[keep]
-        ids = [ids[i] for i in keep]
+        ids, _, steps, converged, _ = stack.run(0.1, max_iter, tol, record)
+        for case, n_steps, ok in zip(ids, steps, converged):
+            outcomes[case] = (ok, n_steps)
     assert len(set(joined_at.values())) == 4
     for case in cases:
         path = np.array(paths[case])
@@ -482,6 +469,104 @@ def test_lockstep_rows_with_their_own_graphs_are_monotone_and_equal_run_de():
         assert outcomes[case] == (traj.converged, traj.iterations_run), case
     assert outcomes[(1, 1.75)] == (True, max_iter)
     assert sum(outcome == (False, max_iter) for outcome in outcomes.values()) == 4
+
+
+# Four rewired graphs of one ensemble, and loads on both sides of their thresholds.
+_STACK_GRAPHS = [sw_rewire(32, 2, 0.4, 2, 6, seed) for seed in range(4)]
+_STACK_ALPHAS = (1.2, 1.75, 1.85, 2.2, 2.5)
+_STACK_BUDGET = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_reference(graph, alpha):
+    g, assignment = _STACK_GRAPHS[graph]
+    scen = _scenario(alpha, training=assignment)
+    return to_base_matrix(g).bsq, scen.row_loads(32), run_de(
+        to_base_matrix(g), scen, max_iter=_STACK_BUDGET
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    per_row_bsq=st.booleans(),
+    certify=st.booleans(),
+    slots=st.integers(1, 4),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("join"), st.integers(0, 3), st.integers(0, 4)),
+            st.tuples(st.just("drop"), st.integers(0, 3)),
+            st.just(("run",)),
+        ),
+        max_size=30,
+    ),
+)
+# Load 2.5 is certified at step 10, so the row of load 1.2 moves into its slot.
+@example(
+    per_row_bsq=False, certify=True, slots=3,
+    ops=[("join", 0, 4), ("join", 0, 1), ("join", 0, 0), ("run",), ("run",)],
+)
+# A dropped bottom row: the top row moves down with its own graph.
+@example(
+    per_row_bsq=True, certify=False, slots=3,
+    ops=[("join", 1, 1), ("join", 2, 0), ("join", 3, 2), ("drop", 0), ("run",), ("run",)],
+)
+def test_stack_rows_stop_where_run_de_stops_under_any_schedule(per_row_bsq, certify, slots, ops):
+    # Rows join, are dropped unfinished and run in any order.  A row that
+    # stops has run_de's state, step count and converged flag for its
+    # graph and load alone, or, certified, run_de's state at its step; a
+    # dropped row never comes back; a join takes a freed slot before a new
+    # one, so the stack never outgrows ``slots``; the rows that step are
+    # the first slots, each at its own state and with the last sir change
+    # it brought into the run, wherever it moved.
+    floor = _sir_floor(2e-3) if certify else None
+    stack = _Stack(32, slots, None if per_row_bsq else _stack_reference(0, 1.2)[0])
+    cases, dropped, stopped = {}, set(), set()
+    run_start = 0
+
+    def record(state):
+        ids = stack.ids[: len(state)]
+        assert None not in ids and stack.ids[len(state) :] == [None] * (slots - len(state))
+        assert dropped.isdisjoint(ids)
+        for slot, row in enumerate(ids):
+            path = _stack_reference(*cases[row])[2].sir
+            assert np.array_equal(state[slot], path[stack.clock - stack.start[slot]])
+            k = run_start - stack.start[slot]
+            assert stack.last[slot] == (np.max(abs(path[k] - path[k - 1])) if k else math.inf)
+
+    def run():
+        nonlocal run_start
+        run_start = stack.clock
+        ids, sir, steps, converged, _ = stack.run(0.1, _STACK_BUDGET, 1e-8, record, floor)
+        assert ids and stopped.isdisjoint(ids) and dropped.isdisjoint(ids)
+        stopped.update(ids)
+        for row, state, n_steps, ok in zip(ids, sir, steps, converged):
+            traj = _stack_reference(*cases[row])[2]
+            if ok or n_steps == _STACK_BUDGET:
+                assert (ok, n_steps) == (traj.converged, traj.iterations_run)
+            else:
+                assert certify and n_steps < traj.iterations_run
+            assert np.array_equal(state, traj.sir[n_steps])
+
+    for op, *args in ops:
+        if op == "join" and len(stack) < slots:
+            graph = args[0] if per_row_bsq else 0
+            bsq, loads, _ = _stack_reference(graph, _STACK_ALPHAS[args[1]])
+            free = stack.ids.index(None)
+            row = len(cases)
+            cases[row] = (graph, _STACK_ALPHAS[args[1]])
+            stack.join(row, loads, bsq if per_row_bsq else None)
+            assert stack.ids.index(row) == free
+        elif op == "drop" and len(stack):
+            live = [row for row in stack.ids if row is not None]
+            victim = live[args[0] % len(live)]
+            stack.drop({victim})
+            dropped.add(victim)
+            assert victim not in stack.ids
+        elif op == "run" and len(stack):
+            run()
+    while stack:
+        run()
+    assert stopped | dropped == cases.keys()
 
 
 def test_run_de_rejects_training_index_beyond_chain():

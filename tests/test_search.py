@@ -191,9 +191,12 @@ def test_ensemble_spec_validation():
     [
         dict(target_ber=0.7),
         dict(max_iter=0),
+        dict(max_iter=2.5),
+        dict(max_iter=True),
         dict(sir_tol=-1.0),
         # Q(sqrt(10)) ~ 7.83e-4: no finalist's run could get under 5e-4 at 10 dB.
         dict(thresholds=BisectionPlan(1.0, 2.5, success_ber=5e-4)),
+        dict(thresholds=BisectionPlan(1.0, 2.5, max_iter=2.5)),
         # Past the noise bound at alpha_hi; the wide tolerance keeps the plan's own checks quiet.
         dict(thresholds=BisectionPlan(1.0, 1e306, alpha_tol=1e300)),
     ],
@@ -357,6 +360,24 @@ def test_ensemble_search_refills_each_slot_as_its_instance_retires(monkeypatch, 
             score.final_max_ber,
             score.iterations,
         ) == _table_score(runs_32[score.index], TARGET)
+
+
+def test_search_at_w2_inputs_schedule_is_frozen(monkeypatch):
+    # The benchmark's W2 search, 200 instances at alpha = 1.98 in one
+    # running stack of 32 slots: 736 lockstep de_step calls advance the
+    # 18,963 rows of the instances' runs.  Draining each block of 32
+    # before the next took 1,883 calls.
+    stacks = []
+    real_de_step = density_evolution.de_step
+
+    def counting_de_step(sir, *args):
+        stacks.append(sir.shape[0] if sir.ndim == 2 else 1)
+        return real_de_step(sir, *args)
+
+    monkeypatch.setattr(density_evolution, "de_step", counting_de_step)
+    report = ensemble_search(SPEC_64, _scenario(1.98), target_ber=TARGET)
+    assert (len(stacks), sum(stacks)) == (736, 18963)
+    assert sum(stacks) == sum(score.iterations for score in report.scores)
 
 
 @pytest.mark.parametrize("target", [0.3, 0.1, 2e-2, 2e-3, 1.1e-3, 1e-3])

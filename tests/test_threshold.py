@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import io
-import math
 import time
 from dataclasses import FrozenInstanceError
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -89,6 +89,9 @@ def test_query_rejects_nonpositive_parameters():
         dict(sigma2=float("nan")),
         dict(sigma2=1e-320),
         dict(alpha_tr=float("inf")),
+        dict(max_iter=0),
+        dict(max_iter=2.5),
+        dict(max_iter=True),
     ):
         with pytest.raises(ValueError):
             _uncoupled_query(**bad)
@@ -329,30 +332,22 @@ def _sequential_bp_threshold(query):
 def _run_rows(bsq, sigma2, loads, floor, max_iter, tol, width, per_row_bsq=False):
     """Each row's (steps, converged, sir) at its stop under the certified DE loop.
 
-    Rows run ``width`` at a time and a waiting row joins as soon as one
-    retires, so rows that run together have taken different step counts,
-    as in speculative bisection; ``width`` 1 runs each row alone.
+    Rows run in a stack of ``width`` slots and a waiting row joins as soon
+    as one retires, so rows that run together have taken different step
+    counts, as in speculative bisection; ``width`` 1 runs each row alone.
     """
     n, L = loads.shape
+    stack = density_evolution._Stack(L, width, None if per_row_bsq else bsq)
     stopped = [None] * n
-    waiting = list(range(n))
-    running, states = [], {}
-    while waiting or running:
-        while waiting and len(running) < width:
-            running.append(row := waiting.pop(0))
-            states[row] = (np.zeros(L), 0, math.inf)
-        sir, steps, last = map(np.array, zip(*(states[row] for row in running)))
-        stack_bsq = np.repeat(bsq[None], len(running), axis=0) if per_row_bsq else bsq
-        sir, steps, converged, done = density_evolution._lockstep(
-            sir, steps, stack_bsq, sigma2, loads[running], max_iter, tol, certify=(floor, last)
-        )
-        for i, row in enumerate(running):
-            if done[i]:
-                stopped[row] = (int(steps[i]), bool(converged[i]), sir[i])
-            else:
-                states[row] = (sir[i], steps[i], last[i])
-        running = [row for i, row in enumerate(running) if not done[i]]
-    return stopped
+    waiting = iter(range(n))
+    while True:
+        for row in islice(waiting, width - len(stack)):
+            stack.join(row, loads[row], bsq if per_row_bsq else None)
+        if not stack:
+            return stopped
+        rows, sir, steps, converged, _ = stack.run(sigma2, max_iter, tol, floor=floor)
+        for row, state, n_steps, ok in zip(rows, sir, steps, converged):
+            stopped[row] = (n_steps, ok, state)
 
 
 def _one_probe_at_a_time(query):
@@ -507,18 +502,29 @@ def test_speculative_bisection_stacks_bracket_ends_with_midpoints(monkeypatch):
     assert candidates and all(n % 3 == 0 and n <= 27 for n in candidates)
 
 
-def test_uncoupled_bisection_schedule_is_frozen(monkeypatch):
-    # The work of speculative bisection on the uncoupled query, frozen:
-    # 2,502 lockstep steps, all stacked, that advance 7,211 rows, for
-    # 3,669 iterations on the bisection path, and 193 certificate calls of
-    # 1,128 candidate rows.  Without certificates: 3,589 steps, 11,672 rows
-    # and 7,043 path iterations.
-    stacks, candidates = _count_de_steps(monkeypatch)
-    result = bp_threshold(_uncoupled_query())
+@pytest.mark.parametrize(
+    "query, steps, rows, calls, candidates, path",
+    [
+        (_uncoupled_query, 2502, 7211, 193, 1128, 3669),
+        (_criterion2_query, 8044, 29337, 756, 5865, 16601),
+    ],
+    ids=["uncoupled", "criterion2"],
+)
+def test_uncoupled_bisection_schedule_is_frozen(
+    monkeypatch, query, steps, rows, calls, candidates, path
+):
+    # The work of speculative bisection, frozen: lockstep steps, all
+    # stacked, the rows they advance, the certificate calls and their
+    # candidate rows, and the iterations on the bisection path.  The
+    # uncoupled query without certificates took 3,589 steps, 11,672 rows
+    # and 7,043 path iterations; the criterion-2 query (W1) 11,841 steps,
+    # 60,639 rows and 28,099 path iterations.
+    stacks, tried = _count_de_steps(monkeypatch)
+    result = bp_threshold(query())
     stacked = [n for n in stacks if n]
-    assert (len(stacks), len(stacked), sum(stacked)) == (2502, 2502, 7211)
-    assert (len(candidates), sum(candidates)) == (193, 1128)
-    assert sum(ev.iterations for ev in result.log) == 3669
+    assert (len(stacks), len(stacked), sum(stacked)) == (steps, steps, rows)
+    assert (len(tried), sum(tried)) == (calls, candidates)
+    assert sum(ev.iterations for ev in result.log) == path
 
 
 # A budget far past where the runs of the property below converge.
