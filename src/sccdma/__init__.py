@@ -14,33 +14,39 @@ import importlib as _importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("coupling", "density_evolution", "search", "threshold")
-
-# Each module's __all__ in the order of _MODULES; tests/test_public_names.py checks the copy.
-__all__ = [
-    "GraphError", "GraphParseError", "MAX_CHAIN_LENGTH", "Provenance", "CouplingGraph",
-    "TrainingAssignment", "BaseMatrix", "make_regular", "cluster_of", "sw_rewire",
-    "assign_training", "to_base_matrix", "average_load", "serialize_graph", "parse_graph",
-    "MMSE_CUTOFF", "SystemScenario", "DeTrajectory", "sigma2_from_db", "qfunc", "ber_of",
-    "mmse_bpsk", "de_step", "run_de", "write_trajectory_csv", "write_summary_csv",
-    "EnsembleSpec", "InstanceScore", "SearchReport", "instance_seed", "sample_instance",
-    "score_instance", "ensemble_search", "write_search_csv",
-    "DEFAULT_SUCCESS_BER", "BisectionPlan", "BracketError", "DeEvaluation", "ThresholdQuery",
-    "ThresholdResult", "bp_threshold", "scalar_fixed_points", "write_threshold_csv",
-    "write_evaluation_log_csv",
-    "__version__",
-]
+# Each module's __all__, in module order; tests/test_public_names.py checks the copy.
+_EXPORTS = {
+    "coupling": (
+        "GraphError", "GraphParseError", "MAX_CHAIN_LENGTH", "Provenance", "CouplingGraph",
+        "TrainingAssignment", "BaseMatrix", "make_regular", "cluster_of", "sw_rewire",
+        "assign_training", "to_base_matrix", "average_load", "serialize_graph", "parse_graph",
+    ),
+    "density_evolution": (
+        "MMSE_CUTOFF", "SystemScenario", "DeTrajectory", "sigma2_from_db", "qfunc", "ber_of",
+        "mmse_bpsk", "de_step", "run_de", "write_trajectory_csv", "write_summary_csv",
+    ),
+    "search": (
+        "EnsembleSpec", "InstanceScore", "SearchReport", "instance_seed", "sample_instance",
+        "score_instance", "ensemble_search", "write_search_csv",
+    ),
+    "threshold": (
+        "DEFAULT_SUCCESS_BER", "BisectionPlan", "BracketError", "DeEvaluation", "ThresholdQuery",
+        "ThresholdResult", "bp_threshold", "scalar_fixed_points", "write_threshold_csv",
+        "write_evaluation_log_csv",
+    ),
+}
+# Public name -> the module that defines it, so a name loads only its own module.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _EXPORTS:
         return _importlib.import_module(f".{name}", __name__)
-    if name in __all__:
-        for module_name in _MODULES:
-            module = _importlib.import_module(f".{module_name}", __name__)
-            if name in module.__all__:
-                value = globals()[name] = getattr(module, name)
-                return value
+    if name in _MODULE_OF:
+        module = _importlib.import_module(f".{_MODULE_OF[name]}", __name__)
+        value = globals()[name] = getattr(module, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

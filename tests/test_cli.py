@@ -462,6 +462,19 @@ def test_import_sets_no_variable_and_loads_no_numpy_until_a_name_is_used():
     assert _fresh_interpreter("import sys, sccdma; sccdma.run_de; print('numpy' in sys.modules)") == "True"
 
 
+def test_a_public_name_loads_only_its_own_module():
+    code = "import sys, sccdma; sccdma.{}; print(sorted(m for m in sys.modules if m.startswith('sccdma.')))"
+    loaded = "['sccdma.coupling', 'sccdma.density_evolution', 'sccdma.threshold']"
+    assert _fresh_interpreter(code.format("bp_threshold")) == loaded
+    assert _fresh_interpreter(code.format("ThresholdQuery")) == loaded
+    assert _fresh_interpreter(code.format("make_regular")) == "['sccdma.coupling']"
+
+
+def test_cli_import_loads_no_mmse_fit():
+    # The MMSE table is data: no numpy.polynomial (2-6 ms) and no fit at import.
+    assert _fresh_interpreter("import sys, sccdma.cli; print('numpy.polynomial' in sys.modules)") == "False"
+
+
 @pytest.mark.parametrize("given, kept", [(None, "4"), ("28", "28"), ("0", "0")])
 def test_cli_import_sets_the_openblas_timeout_unless_the_user_did(given, kept):
     env = {} if given is None else {"OPENBLAS_THREAD_TIMEOUT": given}
@@ -683,7 +696,9 @@ def test_de_noise_level_that_overflows_exits_2(tmp_path, recwarn):
 
 
 # sha256 of each output file, recorded with numpy 2.4 and OpenBLAS 0.3.31 on
-# x86-64 (another platform's exp or matvec may round differently).  Any moved
+# x86-64 with AVX-512 (another BLAS kernel may round de_step's matvecs, or
+# another libm erfc, differently; under OPENBLAS_CORETYPE=Haswell the
+# trajectory, summary and search reports move by up to 2.9e-15).  Any moved
 # byte, even in a 17th digit, shows here; a change that moves one on purpose
 # records the new digests and says so in CHANGES.md.
 FROZEN_DIGESTS = {

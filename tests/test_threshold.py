@@ -463,7 +463,7 @@ def _count_de_steps(monkeypatch):
     calls = stacks
 
     def counting_de_step(sir, *args):
-        calls.append(sir.shape[0] if sir.ndim == 2 else 0)
+        calls.append(sir.size // sir.shape[-1])
         return real_de_step(sir, *args)
 
     def counting_certified(*args):
