@@ -7,15 +7,21 @@ derive from (master_seed, index) through a fixed mixing function, so
 results are reproducible and independent of evaluation order.
 The instances are scored in one running stack of states that steps
 through density evolution in lockstep: each row's score is built as it
-retires, and the next instance is sampled into its slot.
+retires, and the next instance is sampled into its slot.  Where the
+process may run on more than one CPU, the instances are split into
+interleaved shares, each scored on its own stack in a forked child.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
-from typing import IO, Iterator
+from typing import IO, Iterator, NoReturn
 
 import numpy as np
 from numpy.typing import NDArray
@@ -259,6 +265,86 @@ def _block_rows(L: int) -> int:
     return max(1, _BLOCK_BYTES // (L * L * 8))
 
 
+def _share_count(n_samples: int, slots: int) -> int:
+    """Shares search splits its instances into: one per CPU the process may use.
+
+    At most n_samples // slots, so that every share holds at least
+    ``slots`` instances and its stack starts full.  One share where the
+    process cannot fork or read its CPU affinity, or where another Python
+    thread runs: a child would inherit whatever locks that thread holds,
+    with no thread to release them.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_samples // slots)
+
+
+def _report_share(write_fd: int, score_share, share: int) -> NoReturn:
+    """In a forked child: send ``score_share(share)``, or what it raised, down the pipe; exit."""
+    try:
+        with open(write_fd, "wb") as pipe:
+            try:
+                result = score_share(share)
+            except Exception as exc:  # the parent raises RuntimeError with this text
+                result = f"{type(exc).__name__}: {exc}"
+            pickle.dump(result, pipe)
+    finally:
+        os._exit(0)  # the frames below belong to the caller, which runs in the parent
+
+
+def _in_shares(score_share, shares: int) -> tuple[list, list]:
+    """The (scores, failures) of every share, concatenated in share order.
+
+    Share 0 is scored in this process, each other share in a child forked
+    from it, which sends its result back as one pickle over a pipe and
+    leaves by ``os._exit``.  A child whose share raises, or that ends
+    without reporting, raises RuntimeError here.  However this call ends, every
+    child is killed and reaped before it returns.
+    """
+    from signal import SIGKILL  # here, so that importing the package does not load signal
+
+    children = []  # (share, pid, read end of its pipe)
+    try:
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 and later warn on a fork in a process with
+                # more than one thread, and numpy's OpenBLAS runs worker
+                # threads.  OpenBLAS stops them in its own pthread_atfork
+                # handler, and the child runs only numpy and this package.
+                # _share_count has ruled out other Python threads.
+                warnings.filterwarnings(
+                    "ignore", r"This process .*is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                _report_share(write_fd, score_share, share)
+            os.close(write_fd)
+            children.append((share, pid, open(read_fd, "rb")))
+        scores, failures = score_share(0)
+        for share, pid, pipe in children:
+            with pipe:
+                report = pipe.read()
+            try:
+                result = pickle.loads(report)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"search share {share} (pid {pid}) ended without reporting"
+                ) from None
+            if isinstance(result, str):
+                raise RuntimeError(f"search share {share} (pid {pid}) raised {result}")
+            scores += result[0]
+            failures += result[1]
+        return scores, failures
+    finally:
+        for _, pid, pipe in children:  # a child that has reported is leaving anyway
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def ensemble_search(
     spec: EnsembleSpec,
     scen: SystemScenario,
@@ -277,36 +363,53 @@ def ensemble_search(
     alpha_tr of ``scen`` and ``sir_tol``.  A finalist that cannot be
     bisected is recorded in ``failures`` and keeps no threshold.
 
-    One running stack scores the instances: a buffer, allocated once, of
-    at most 1 MiB of base matrices (32 instances at L = 64, or one
-    instance where that is larger).  Instances are sampled in ascending
-    index order, each as a slot of the stack comes free, and step through
-    density evolution in lockstep with the rows beside them.  An instance
-    that cannot be sampled is recorded in ``failures`` as (index, "Type:
-    message"), and the next one takes its place.  The report does not
-    depend on which instances share a stack, because every instance
-    derives from its own index and scores alone.
+    The instances are split into k interleaved shares, share r holding
+    the indices equal to r modulo k, with k the number of CPUs the process
+    may use, but at most n_samples // slots (below), and 1 where the
+    process cannot fork or another Python thread runs.  Share 0 is scored
+    in this process, each other share in a child forked from it after the
+    argument checks; the children send back their scores and failures.
+    The finalists are bisected in this process.
+
+    Each share is scored on one running stack: a buffer, allocated once,
+    of at most 1 MiB of base matrices (32 slots at L = 64, or one slot
+    where a matrix is larger).  A share's instances are sampled in
+    ascending index order, each as a slot of its stack comes free, and
+    step through density evolution in lockstep with the rows beside them.
+    An instance that cannot be sampled is recorded in ``failures`` as
+    (index, "Type: message"), and the next one takes its place.  The
+    report does not depend on the shares or on which instances share a
+    stack: every instance derives from its own index and scores alone,
+    the ranking is a total order (instance seeds are distinct), and
+    sampling failures are listed by index.
     """
     # Checked before any sampling starts, so bad arguments fail up front.
     if thresholds is not None:
         check_plan(thresholds, scen.sigma2, scen.alpha_tr, sir_tol)
     check_target_ber(target_ber)
     check_de_budget(max_iter, sir_tol)
-    failures = []
-
-    def instances():
-        for index in range(spec.n_samples):
-            try:
-                row = _instance_row(*sample_instance(spec, index), scen, index)
-            except Exception as exc:  # recorded per instance, search continues
-                failures.append((index, f"{type(exc).__name__}: {exc}"))
-            else:
-                yield row
-
     slots = min(_block_rows(spec.L), spec.n_samples)
-    scores = _score_stack(
-        instances(), slots, spec.L, scen.sigma2, target_ber, max_iter, sir_tol
-    )
+    shares = _share_count(spec.n_samples, slots)
+
+    def score_share(share):
+        failures = []
+
+        def instances():
+            for index in range(share, spec.n_samples, shares):
+                try:
+                    row = _instance_row(*sample_instance(spec, index), scen, index)
+                except Exception as exc:  # recorded per instance, search continues
+                    failures.append((index, f"{type(exc).__name__}: {exc}"))
+                else:
+                    yield row
+
+        scores = _score_stack(
+            instances(), slots, spec.L, scen.sigma2, target_ber, max_iter, sir_tol
+        )
+        return scores, failures
+
+    scores, failures = _in_shares(score_share, shares)
+    failures.sort()
     if not scores:
         raise RuntimeError(f"all {spec.n_samples} instances failed: {failures[:3]}")
     scores.sort(key=_rank_key)

@@ -429,8 +429,8 @@ def test_import_leaves_scipy_interpolate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-    # Nor does the CLI load any of scipy (0.3 s, 23 MiB) or start a process
-    # pool: every subcommand runs in the calling process.
+    # Nor does the CLI load any of scipy (0.3 s, 23 MiB) or the process pools
+    # of multiprocessing: search forks its shares with os.fork alone.
     proc = subprocess.run(
         [
             sys.executable,
@@ -671,6 +671,27 @@ def test_search_writes_best_graph(tmp_path):
     assert len(rows) == 6
     assert graph.provenance is not None
     assert int(rows[0]["instance_seed"]) == graph.provenance.seed
+
+
+_W2_SEARCH = (
+    "search", "--L", 64, "--W", 2, "--p", 0.1, "--c", 2, "--tau", 14, "--samples", 200,
+    "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.98, "--target-ber", 2e-3,
+)
+_W2_THRESHOLDS = ("--with-thresholds", "--alpha-lo", 1.5, "--alpha-hi", 2.2, "--alpha-tol", 1e-3)
+
+
+@pytest.mark.parametrize("seed, flags", [(4, ()), (7, ()), (7, _W2_THRESHOLDS)])
+def test_search_in_two_shares_writes_the_one_share_bytes(tmp_path, monkeypatch, seed, flags):
+    outputs = []
+    for shares in (1, 2):
+        monkeypatch.setattr(search, "_share_count", lambda n_samples, slots, k=shares: k)
+        report, best = tmp_path / f"{shares}.csv", tmp_path / f"{shares}.json"
+        code, _, err = run_main(
+            (*_W2_SEARCH, "--seed", seed, *flags, "--out-report", report, "--out-best", best)
+        )
+        assert code == 0, err
+        outputs.append((report.read_bytes(), best.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_avgload_matches_library():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +256,26 @@ def _csv_bytes(report):
     return buf.getvalue().encode()
 
 
+@pytest.fixture
+def one_share(monkeypatch):
+    """Search scores every instance in this process, where rebound names see all its calls."""
+    monkeypatch.setattr(search, "_share_count", lambda n_samples, slots: 1)
+
+
+@pytest.fixture
+def two_shares(monkeypatch):
+    """Search forks one child for every odd index, whatever CPUs this host has."""
+    monkeypatch.setattr(search, "_share_count", lambda n_samples, slots: 2)
+
+
+@pytest.fixture
+def reaped():
+    """The test leaves no child process behind, running or exited."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_ensemble_search_rewires_through_the_search_module(monkeypatch):
     # perfbench's tracer times rewiring by rebinding search.sw_rewire.
     calls = []
@@ -324,7 +348,9 @@ def test_ensemble_search_schedule_is_frozen(monkeypatch, runs_32):
         ) == _table_score(runs_32[score.index], TARGET)
 
 
-def test_ensemble_search_refills_each_slot_as_its_instance_retires(monkeypatch, runs_32):
+def test_ensemble_search_refills_each_slot_as_its_instance_retires(
+    monkeypatch, runs_32, one_share
+):
     # Five slots for the twelve instances under the 50-step budget: each
     # retiring row's slot takes the next instance, sampled then, so the
     # stack steps five rows until the queue is empty and then drains.
@@ -362,7 +388,7 @@ def test_ensemble_search_refills_each_slot_as_its_instance_retires(monkeypatch, 
         ) == _table_score(runs_32[score.index], TARGET)
 
 
-def test_search_at_w2_inputs_schedule_is_frozen(monkeypatch):
+def test_search_at_w2_inputs_schedule_is_frozen(monkeypatch, one_share):
     # The benchmark's W2 search, 200 instances at alpha = 1.98 in one
     # running stack of 32 slots: 736 lockstep de_step calls advance the
     # 18,963 rows of the instances' runs.  Draining each block of 32
@@ -378,6 +404,136 @@ def test_search_at_w2_inputs_schedule_is_frozen(monkeypatch):
     report = ensemble_search(SPEC_64, _scenario(1.98), target_ber=TARGET)
     assert (len(stacks), sum(stacks)) == (736, 18963)
     assert sum(stacks) == sum(score.iterations for score in report.scores)
+
+
+def test_search_at_w2_inputs_in_two_shares_writes_the_one_share_report(monkeypatch, reaped):
+    # Each share scores its own instances alone, so the two shares'
+    # rows are the one share's 18,963, and the ranked report is the same.
+    monkeypatch.setattr(search, "_share_count", lambda n_samples, slots: 1)
+    one = ensemble_search(SPEC_64, _scenario(1.98), target_ber=TARGET)
+    monkeypatch.setattr(search, "_share_count", lambda n_samples, slots: 2)
+    two = ensemble_search(SPEC_64, _scenario(1.98), target_ber=TARGET)
+    assert sum(score.iterations for score in two.scores) == 18963
+    assert two.scores == one.scores
+    assert _csv_bytes(two) == _csv_bytes(one)
+
+
+def test_share_count_is_one_per_cpu_while_each_share_fills_its_stack(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert search._share_count(200, 32) == 6
+    assert search._share_count(1 << 16, 32) == 8
+    assert search._share_count(12, 5) == 2
+    assert search._share_count(12, 12) == 1
+    # Another Python thread's locks would be held in the child for good.
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert search._share_count(200, 32) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert search._share_count(200, 32) == 6
+    monkeypatch.delattr(os, "fork")
+    assert search._share_count(200, 32) == 1
+
+
+def test_search_on_one_cpu_never_forks(monkeypatch, reaped):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = ensemble_search(SPEC_64, _scenario(1.98), target_ber=TARGET)
+    assert sum(score.iterations for score in report.scores) == 18963
+
+
+def test_search_forks_past_the_multithreaded_process_warning(monkeypatch, two_shares, reaped):
+    # Python 3.12 and later warn on every fork in a process with a second
+    # thread, as numpy's OpenBLAS workers are; the suite makes that an error.
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child.",
+            DeprecationWarning,
+        )
+        return real_fork()
+
+    clean = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert _csv_bytes(report) == _csv_bytes(clean)
+
+
+def _in_child_share(action):
+    """A _score_stack that runs ``action()`` in place of scoring in a forked share."""
+    parent, real_score_stack = os.getpid(), search._score_stack
+
+    def score_stack(*args):
+        if os.getpid() != parent:
+            action()
+        return real_score_stack(*args)
+
+    return score_stack
+
+
+def _raise_value_error():
+    raise ValueError("no share")
+
+
+def test_search_raises_when_a_child_share_raises(monkeypatch, two_shares, reaped):
+    monkeypatch.setattr(search, "_score_stack", _in_child_share(_raise_value_error))
+    with pytest.raises(RuntimeError, match=r"share 1 \(pid \d+\) raised ValueError: no share"):
+        ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+
+
+def test_search_raises_when_a_child_share_exits_without_reporting(
+    monkeypatch, two_shares, reaped
+):
+    monkeypatch.setattr(search, "_score_stack", _in_child_share(lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match=r"share 1 \(pid \d+\) ended without reporting"):
+        ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+
+
+def test_search_kills_its_children_when_its_own_share_raises(monkeypatch, two_shares, reaped):
+    # The child would sleep for a minute; the parent's error ends it at once.
+    parent, real_score_stack = os.getpid(), search._score_stack
+
+    def score_stack(*args):
+        if os.getpid() == parent:
+            raise ValueError("no share")
+        time.sleep(60)
+        return real_score_stack(*args)
+
+    monkeypatch.setattr(search, "_score_stack", score_stack)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="no share"):
+        ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert time.monotonic() - start < 30
+
+
+def test_search_lists_both_shares_sampling_failures_by_index(monkeypatch, two_shares, reaped):
+    # Share r holds the indices equal to r modulo 2, so instance 5 fails
+    # in the child's share and 6 in this process's.
+    clean = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    parent, real_sample = os.getpid(), search.sample_instance
+
+    def failing_sample(spec, index):
+        if index in (5, 6):
+            where = "here" if os.getpid() == parent else "in a child"
+            raise RuntimeError(f"no instance {index} {where}")
+        return real_sample(spec, index)
+
+    monkeypatch.setattr(search, "sample_instance", failing_sample)
+    report = ensemble_search(SPEC_32, SCEN_32, target_ber=TARGET, max_iter=50)
+    assert report.failures == (
+        (5, "RuntimeError: no instance 5 in a child"),
+        (6, "RuntimeError: no instance 6 here"),
+    )
+    assert report.scores == tuple(s for s in clean.scores if s.index not in (5, 6))
 
 
 @pytest.mark.parametrize("target", [0.3, 0.1, 2e-2, 2e-3, 1.1e-3, 1e-3])
@@ -403,7 +559,7 @@ def test_scores_equal_their_run_de_tables_at_every_target(runs_32, target):
 
 
 @pytest.mark.parametrize("rows", [1, 5, SPEC_32.n_samples])
-def test_mean_sir_floor_leaves_few_rows_to_the_exact_test(monkeypatch, rows):
+def test_mean_sir_floor_leaves_few_rows_to_the_exact_test(monkeypatch, rows, one_share):
     # Without the floor every waiting row takes the exact test at each step:
     # 388 rows, plus the 12 final max-BER rows.  With it, 31 rows do, at any
     # stack size; all twelve instances still reach the target.
