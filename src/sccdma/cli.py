@@ -38,7 +38,7 @@ from .coupling import (  # noqa: E402
 )
 from .density_evolution import (  # noqa: E402
     SystemScenario,
-    format_float,
+    format_field,
     run_de,
     sigma2_from_db,
     write_summary_csv,
@@ -123,8 +123,7 @@ def cmd_de(args) -> int:
     traj = run_de(to_base_matrix(graph), scen, max_iter=args.max_iter, tol=args.tol)
     _write_file(args.out_trajectory, partial(write_trajectory_csv, traj))
     _write_file(args.out_summary, partial(write_summary_csv, traj))
-    flag = "true" if traj.converged else "false"
-    print(f"converged={flag} iterations={traj.iterations_run}")
+    print(f"converged={format_field(traj.converged)} iterations={traj.iterations_run}")
     return 0
 
 
@@ -185,7 +184,7 @@ def cmd_search(args) -> int:
 
 def cmd_avgload(args) -> int:
     value = average_load(args.alpha_tr, args.alpha, args.tau, args.L)
-    print(format_float(value))
+    print(format_field(value))
     return 0
 
 

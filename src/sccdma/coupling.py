@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -131,6 +132,9 @@ class TrainingAssignment:
     tau: int
 
     def __post_init__(self) -> None:
+        bad = [t for t in self.training_set if not _is_int(t)]
+        if bad:
+            raise ValueError(f"training indices must be integers, got {bad}")
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
             raise ValueError(f"training set has repeated indices: {members}")
@@ -173,8 +177,15 @@ class BaseMatrix:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer: a Python or numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_band(L: int, W: int) -> None:
-    """Reject a regular band that is empty, overlaps itself (L < 2W+2) or is too long."""
+    """Reject a regular band that is not integral, empty, self-overlapping (L < 2W+2) or too long."""
+    if not (_is_int(L) and _is_int(W)):
+        raise GraphError(f"chain length and coupling width must be integers, got L={L!r}, W={W!r}")
     if W < 1:
         raise GraphError(f"coupling width must be positive, got W={W}")
     if L < 2 * W + 2:
@@ -197,9 +208,11 @@ def check_training(members, L: int) -> None:
 
 
 def _check_p_and_c(p: float, c: int) -> None:
-    """Reject a rewiring probability outside [0, 1] or a cluster count below 1."""
+    """Reject a rewiring probability outside [0, 1] or a non-integer or nonpositive cluster count."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
+    if not _is_int(c):
+        raise GraphError(f"cluster count must be an integer, got {c!r}")
     if c < 1:
         raise GraphError(f"cluster count must be positive, got {c}")
 
@@ -218,14 +231,16 @@ def check_rewiring(L: int, W: int, p: float, c: int) -> None:
 
 
 def check_quota(tau: int, L: int) -> None:
-    """Reject a training quota outside [1, L]."""
+    """Reject a training quota that is not an integer in [1, L]."""
+    if not _is_int(tau):
+        raise ValueError(f"training quota must be an integer, got tau={tau!r}")
     if not 1 <= tau <= L:
         raise ValueError(f"training quota must lie in [1, L={L}], got tau={tau}")
 
 
 def check_seed(seed: int) -> None:
     """Reject a seed that is not a 64-bit unsigned integer."""
-    if not 0 <= seed < _SEED_LIMIT:
+    if not _is_int(seed) or not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
@@ -409,7 +424,7 @@ def serialize_graph(g: CouplingGraph, assignment: TrainingAssignment) -> str:
 
 def _require_int(doc: dict, field: str) -> int:
     value = doc[field]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise GraphParseError(f"field {field!r} must be an integer, got {value!r}")
     return value
 
@@ -469,7 +484,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         if (
             not isinstance(edge, list)
             or len(edge) != 3
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in edge)
+            or not all(_is_int(v) for v in edge)
         ):
             raise GraphParseError(f"edge {pos} must be [factor, variable, mult], got {edge!r}")
         l, m, k = edge
@@ -484,9 +499,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         mult[l, m] = k
 
     training = doc["training"]
-    if not isinstance(training, list) or any(
-        isinstance(t, bool) or not isinstance(t, int) for t in training
-    ):
+    if not isinstance(training, list) or not all(_is_int(t) for t in training):
         raise GraphParseError("field 'training' must be a list of integers")
 
     try:

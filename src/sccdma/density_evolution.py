@@ -17,7 +17,6 @@ converges to the smallest fixed point.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,7 +26,14 @@ from typing import IO
 import numpy as np
 from numpy.typing import NDArray
 
-from .coupling import MAX_CHAIN_LENGTH, BaseMatrix, TrainingAssignment, check_positive, check_training
+from .coupling import (
+    MAX_CHAIN_LENGTH,
+    BaseMatrix,
+    TrainingAssignment,
+    _is_int,
+    check_positive,
+    check_training,
+)
 
 __all__ = [
     "MMSE_CUTOFF",
@@ -330,9 +336,7 @@ _MAX_ITER = 1 << 62
 
 def check_de_budget(max_iter: int, tol: float) -> None:
     """Reject a bool, non-int or out-of-range [1, 2^62] budget, or a tol not positive and finite."""
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or not (
-        1 <= max_iter <= _MAX_ITER
-    ):
+    if not _is_int(max_iter) or not 1 <= max_iter <= _MAX_ITER:
         raise ValueError(f"max_iter must be an integer in [1, {_MAX_ITER}], got {max_iter!r}")
     check_positive("tol", tol)
 
@@ -516,15 +520,19 @@ def run_de(
 
 
 # The CSV number format: 17 significant digits, enough to round-trip.  Every
-# table goes through _write_table, whose fast path spells this format exactly.
+# field is format_field's, and _write_table's fast paths spell it exactly.
 _FLOAT_FORMAT = "%.17g"
 # Table lines formatted per write; bounds the text held at once.
 _WRITE_LINES = 8192
 
 
-def format_float(value: float) -> str:
-    """A float as CSV text: 17 significant digits, enough to round-trip."""
-    return _FLOAT_FORMAT % value
+def format_field(value) -> str:
+    """A value as one CSV field: empty for None, true or false, %d for an integer, else %.17g."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    return ("%d" if _is_int(value) else _FLOAT_FORMAT) % value
 
 
 # The index of the non-digit entry of _QUADS.
@@ -658,18 +666,18 @@ def _int_cells(v):
     return chars * (np.arange(4 * count) >= 4 * count - width[:, None])
 
 
-def _text_cells(texts) -> NDArray[np.uint8]:
-    """ASCII strings as the rows of a NUL-padded byte matrix."""
-    cells = np.array(texts, dtype="S")
-    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+def _text_cells(values) -> NDArray[np.uint8]:
+    """Each value spelled by :func:`format_field`, as the rows of a NUL-padded byte matrix."""
+    cells = np.array([format_field(value) for value in values], dtype="S")
+    return cells.view(np.uint8).reshape(len(values), cells.itemsize)
 
 
 def _cells(column) -> NDArray[np.uint8]:
-    """A column's fields as NUL-padded ASCII rows.
+    """A column's fields, spelled as :func:`format_field` spells them, as NUL-padded ASCII rows.
 
-    A float array is spelled %.17g and an int array %d: vectorized where
-    the exact fast paths apply, by the format operator elsewhere.  Any
-    other column is a sequence of ASCII strings, written as given.
+    A float or int array is spelled vectorized where the exact fast paths
+    apply, and value by value elsewhere; any other column is a sequence
+    of values, spelled one by one.
     """
     if not isinstance(column, np.ndarray):
         return _text_cells(column)
@@ -678,16 +686,14 @@ def _cells(column) -> NDArray[np.uint8]:
         digits, k, holds = _decimal(np.where(fast, column, 1.0))
         cells = _fixed_cells(digits, k)
         fast &= holds
-        spelling = _FLOAT_FORMAT
     else:
         column = column.astype(np.int64, copy=False)
         fast = column >= 0
         cells = _int_cells(np.where(fast, column, 0))
-        spelling = "%d"
     if fast.all():
         return cells
     slow = ~fast
-    other = _text_cells([spelling % value for value in column[slow].tolist()])
+    other = _text_cells(column[slow].tolist())
     merged = np.zeros((column.size, max(cells.shape[1], other.shape[1])), dtype=np.uint8)
     merged[fast, : cells.shape[1]] = cells[fast]
     merged[slow, : other.shape[1]] = other
@@ -697,7 +703,7 @@ def _cells(column) -> NDArray[np.uint8]:
 def _write_table(stream: IO[str], header: str, columns) -> None:
     """Write ``header``, then a line of comma-separated fields per row of ``columns``.
 
-    A column is an array or a sequence of strings (see :func:`_cells`), or
+    A column is an array or a sequence of values (see :func:`_cells`), or
     a function from row indices to an int array, which is called a block
     at a time; the sequences are equally long.  Each block of
     _WRITE_LINES lines is formatted column by column into one NUL-padded

@@ -29,6 +29,7 @@ from numpy.typing import NDArray
 from .coupling import (
     CouplingGraph,
     TrainingAssignment,
+    _is_int,
     check_band,
     check_quota,
     check_rewiring,
@@ -44,7 +45,6 @@ from .density_evolution import (
     ber_of,
     check_de_budget,
     check_target_ber,
-    format_float,
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.search.run_de)
 )
 from .threshold import (
@@ -92,9 +92,11 @@ def _mix64(z: int) -> int:
 def instance_seed(master_seed: int, index: int) -> int:
     """Seed for sample ``index``: splitmix64 of master_seed + (index+1) * golden gamma."""
     check_seed(master_seed)
+    if not _is_int(index):
+        raise ValueError(f"index must be an integer, got {index!r}")
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
-    return _mix64(master_seed + (index + 1) * _GOLDEN)
+    return _mix64(int(master_seed) + (int(index) + 1) * _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,8 @@ class EnsembleSpec:
         check_rewiring(self.L, self.W, self.p, self.c)
         check_quota(self.tau, self.L)
         check_seed(self.master_seed)
+        if not _is_int(self.n_samples):
+            raise ValueError(f"sample count must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
         if self.n_samples > _MAX_SAMPLES:
@@ -447,15 +451,13 @@ def write_search_csv(report: SearchReport, stream: IO[str]) -> None:
     """
     scores = report.scores
     columns = [
-        [str(score.index) for score in scores],
-        [str(score.instance_seed) for score in scores],
-        ["" if s.iterations_to_target is None else str(s.iterations_to_target) for s in scores],
+        [score.index for score in scores],
+        [score.instance_seed for score in scores],
+        [score.iterations_to_target for score in scores],
         np.array([score.final_max_ber for score in scores], dtype=np.float64),
     ]
     header = "index,instance_seed,iterations_to_target,final_max_ber"
     if report.with_thresholds:
         header += ",alpha_bp"
-        columns.append(
-            ["" if s.threshold is None else format_float(s.threshold.alpha_bp) for s in scores]
-        )
+        columns.append([None if s.threshold is None else s.threshold.alpha_bp for s in scores])
     _write_table(stream, header, columns)

@@ -311,12 +311,12 @@ def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
 
 def write_threshold_csv(result: ThresholdResult, stream: IO[str]) -> None:
     """Single-row report: alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol."""
-    floats = np.array([
+    row = (
         result.alpha_bp, *result.bracket, result.avg_load_at_threshold,
-        result.success_ber, result.alpha_tol,
-    ])[:, None]
+        result.de_evaluations, result.success_ber, result.alpha_tol,
+    )
     header = "alpha_bp,bracket_lo,bracket_hi,avg_load,evaluations,success_ber,alpha_tol"
-    _write_table(stream, header, [*floats[:4], np.array([result.de_evaluations]), *floats[4:]])
+    _write_table(stream, header, [[value] for value in row])
 
 
 def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
@@ -327,7 +327,7 @@ def write_evaluation_log_csv(result: ThresholdResult, stream: IO[str]) -> None:
     """
     columns = (
         np.array([ev.alpha for ev in result.log], dtype=np.float64),
-        ["true" if ev.converged else "false" for ev in result.log],
+        [ev.converged for ev in result.log],
         np.array([ev.max_ber for ev in result.log], dtype=np.float64),
         np.array([ev.iterations for ev in result.log], dtype=np.int64),
     )

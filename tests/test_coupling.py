@@ -46,6 +46,10 @@ def test_make_regular_band_too_wide():
     # A graph built directly obeys the same band rule.
     with pytest.raises(GraphError, match="2W\\+2"):
         CouplingGraph(L=3, W=1, mult=np.ones((3, 3), dtype=np.int64))
+    # 64.0 would be serialized as "L": 64.0, which parse_graph rejects.
+    for L, W in ((64.0, 2), (64, 2.0), (True, 1)):
+        with pytest.raises(GraphError, match="must be integers"):
+            make_regular(L, W)
 
 
 def test_make_regular_column_sums():
@@ -141,6 +145,13 @@ def test_sw_rewire_parameter_validation():
         sw_rewire(64, 2, 0.1, 3, 14, 0)  # 64 % 3 != 0
     with pytest.raises(GraphError):
         sw_rewire(16, 2, 0.1, 2, 4, 0)  # L/c = 8 = 4W overlaps
+    # Counts and seeds must be integers, not floats equal to one.
+    for args in (
+        (64, 2.0, 0.1, 2, 14, 0), (64, 2, 0.1, 2.0, 14, 0),
+        (64, 2, 0.1, 2, 14.0, 0), (64, 2, 0.1, 2, 14, 4.0),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            sw_rewire(*args)
 
 
 def test_provenance_checks_the_rewiring_rules_of_sw_rewire():
@@ -192,8 +203,13 @@ def test_assign_training_degree_dominance_and_gainers():
 
 def test_assign_training_quota_validation():
     g = make_regular(32, 2)
-    with pytest.raises(ValueError):
-        assign_training(g, 33, np.random.default_rng(0))
+    for tau in (33, 14.0, True):
+        with pytest.raises(ValueError):
+            assign_training(g, tau, np.random.default_rng(0))
+    # An explicit set obeys the same rule: an index is not truncated to one.
+    with pytest.raises(ValueError, match="training indices must be integers"):
+        TrainingAssignment((1.5, 2.9), 2)
+    assert TrainingAssignment((np.int64(2), np.uint8(1)), 2).training_set == (1, 2)
 
 
 def _level_walk_training(g, tau, rng):

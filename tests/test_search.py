@@ -64,6 +64,8 @@ def test_instance_seed_splitmix_reference():
 def test_instance_seed_wraps_modulo_64_bits():
     assert instance_seed(2**64 - 1, 0) == instance_seed(2**64 - 1, 0)
     assert 0 <= instance_seed(2**64 - 1, 5) < 2**64
+    # numpy integers are taken at their value, past int64 too.
+    assert instance_seed(np.uint64(2**64 - 1), np.int64(3)) == instance_seed(2**64 - 1, 3)
 
 
 def test_sample_instance_deterministic_bytes():
@@ -172,6 +174,8 @@ def test_sample_instance_index_range():
         sample_instance(SPEC_64, 200)
     with pytest.raises(ValueError):
         sample_instance(SPEC_64, -1)
+    with pytest.raises(ValueError, match="index must be an integer"):
+        sample_instance(SPEC_64, 1.5)
 
 
 def test_ensemble_spec_validation():
@@ -188,6 +192,14 @@ def test_ensemble_spec_validation():
     for W in (0, -1):
         with pytest.raises(GraphError, match="coupling width must be positive"):
             EnsembleSpec(L=64, W=W, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
+    # A count or seed that is not an integer fails here, not in every instance.
+    good = dict(L=64, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
+    for bad in (
+        dict(L=64.0), dict(W=2.0), dict(c=2.0), dict(tau=14.0), dict(master_seed=4.0),
+        dict(n_samples=40.5), dict(n_samples=True),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            EnsembleSpec(**{**good, **bad})
 
 
 @pytest.mark.parametrize(

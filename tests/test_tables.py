@@ -36,6 +36,7 @@ from sccdma import (
     write_threshold_csv,
     write_trajectory_csv,
 )
+from sccdma import density_evolution, search, threshold
 from sccdma.density_evolution import _FLOAT_FORMAT, _WRITE_LINES, _decimal, _write_table
 
 NO_TRAINING = TrainingAssignment((), 0)
@@ -219,9 +220,9 @@ def test_any_float_column_is_spelled_as_the_format_operator_spells_it(values):
 def test_ints_are_spelled_as_the_format_operator_spells_them():
     values = [0, 9, 10, *(10**k + d for k in range(1, 19) for d in (-1, 0, 1)), 2**63 - 1, -1, -(2**63)]
     assert _written(np.array(values, dtype=np.int64)) == ["%d" % v for v in values]
-    # Seeds reach 2**64 - 1, past int64: they are written as text.
-    seeds = [str(2**63), str(2**64 - 1), ""]
-    assert _written(seeds) == seeds
+    # Seeds reach 2**64 - 1, past int64: they go as values, and None as an empty field.
+    assert _written([2**63, 2**64 - 1, None]) == ["9223372036854775808", "18446744073709551615", ""]
+    assert _written([True, False]) == ["true", "false"]
 
 
 def _sized_trajectory(rows: int) -> DeTrajectory:
@@ -324,6 +325,24 @@ def test_every_writer_spells_its_table_as_the_format_operator_would(rows):
         writer(record, stream)
         assert stream.getvalue() == expected, writer.__name__
         assert stream.most_lines <= _WRITE_LINES
+
+
+def test_writers_hand_values_not_text_to_the_table(monkeypatch):
+    # Every field is spelled in _write_table, so no writer spells one itself.
+    handed = []
+
+    def capture(stream, header, columns):
+        handed.append((header, columns))
+
+    for module in (density_evolution, search, threshold):
+        monkeypatch.setattr(module, "_write_table", capture)
+    for writer, record, _ in _sized_tables(5):
+        writer(record, io.StringIO())
+    assert len(handed) == 6
+    for header, columns in handed:
+        for column in columns:
+            values = [] if callable(column) else list(column)
+            assert not any(isinstance(value, str) for value in values), header
 
 
 def test_short_tables_stay_below_the_mmap_threshold():
