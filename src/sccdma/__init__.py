@@ -14,7 +14,7 @@ import importlib as _importlib
 
 __version__ = "0.1.0"
 
-# Each module's __all__, in module order; tests/test_public_names.py checks the copy.
+# The one list of public names, in module order; each module's __all__ is its entry.
 _EXPORTS = {
     "coupling": (
         "GraphError", "GraphParseError", "MAX_CHAIN_LENGTH", "Provenance", "CouplingGraph",

@@ -29,11 +29,11 @@ from .coupling import (  # noqa: E402
     GraphParseError,
     TrainingAssignment,
     _rewired_graph,
+    assign_training,
     average_load,
     check_training,
     parse_graph,
     serialize_graph,
-    sw_rewire,
     to_base_matrix,
 )
 from .density_evolution import (  # noqa: E402
@@ -104,13 +104,14 @@ def _plan_fields(args, max_iter: int) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.training_set is None:
-        graph, assignment = sw_rewire(args.L, args.W, args.p, args.c, args.tau, args.seed)
+    # A bad set is reported before a bad graph flag, so it is parsed first.
+    members = None if args.training_set is None else _parse_training_flag(args.training_set)
+    # The graph's draws all come before the greedy assignment's, which an
+    # explicit set replaces, so none of the latter are made.
+    graph, rng = _rewired_graph(args.L, args.W, args.p, args.c, args.seed)
+    if members is None:
+        assignment = assign_training(graph, args.tau, rng)
     else:
-        members = _parse_training_flag(args.training_set)
-        # The graph's draws all come before the greedy assignment's, which
-        # an explicit set replaces, so none of the latter are made.
-        graph, _ = _rewired_graph(args.L, args.W, args.p, args.c, args.seed)
         assignment = _training_override(members, args.L)
     text = serialize_graph(graph, assignment)
     _write_file(args.out, lambda stream: stream.write(text))

@@ -21,23 +21,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = [
-    "GraphError",
-    "GraphParseError",
-    "MAX_CHAIN_LENGTH",
-    "Provenance",
-    "CouplingGraph",
-    "TrainingAssignment",
-    "BaseMatrix",
-    "make_regular",
-    "cluster_of",
-    "sw_rewire",
-    "assign_training",
-    "to_base_matrix",
-    "average_load",
-    "serialize_graph",
-    "parse_graph",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["coupling"])
 
 _SEED_LIMIT = 1 << 64
 
@@ -135,6 +121,8 @@ class TrainingAssignment:
         bad = [t for t in self.training_set if not _is_int(t)]
         if bad:
             raise ValueError(f"training indices must be integers, got {bad}")
+        if not _is_int(self.tau):
+            raise ValueError(f"tau must be an integer, got tau={self.tau!r}")
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
             raise ValueError(f"training set has repeated indices: {members}")
@@ -153,8 +141,8 @@ class BaseMatrix:
     bsq: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise GraphError(f"matrix size must be positive, got L={self.L}")
+        if not _is_int(self.L) or self.L < 1:
+            raise GraphError(f"matrix size must be a positive integer, got L={self.L!r}")
         bsq = np.ascontiguousarray(np.asarray(self.bsq, dtype=np.float64))
         if bsq.shape != (self.L, self.L):
             raise GraphError(f"base matrix must be {self.L}x{self.L}, got {bsq.shape}")
@@ -265,6 +253,8 @@ def cluster_of(center: int, L: int, W: int) -> set[int]:
     around the center (capped at L); by symmetry the same window applies
     to factor and variable nodes alike.
     """
+    if not _is_int(center):
+        raise ValueError(f"center must be an integer, got center={center!r}")
     if not 0 <= center < L:
         raise IndexError(f"center {center} out of range [0, {L})")
     reach = 2 * W
@@ -385,10 +375,10 @@ def average_load(alpha_tr: float, alpha: float, tau: int, L: int) -> float:
     """
     check_positive("alpha_tr", alpha_tr)
     check_positive("alpha", alpha)
-    if L < 1:
-        raise ValueError(f"chain length must be positive, got L={L}")
-    if not 0 <= tau <= L:
-        raise ValueError(f"tau must lie in [0, L={L}], got {tau}")
+    if not _is_int(L) or L < 1:
+        raise ValueError(f"chain length must be a positive integer, got L={L!r}")
+    if not _is_int(tau) or not 0 <= tau <= L:
+        raise ValueError(f"tau must be an integer in [0, L={L}], got tau={tau!r}")
     frac = tau / L
     mean = 1.0 / (frac / alpha_tr + (1.0 - frac) / alpha)
     # With both loads within rounding of the largest float the sum of
@@ -409,12 +399,16 @@ def serialize_graph(g: CouplingGraph, assignment: TrainingAssignment) -> str:
     prov = (
         None
         if g.provenance is None
-        else {"p": g.provenance.p, "c": g.provenance.c, "seed": g.provenance.seed}
+        else {
+            "p": float(g.provenance.p),
+            "c": int(g.provenance.c),
+            "seed": int(g.provenance.seed),
+        }
     )
     doc = {
         "version": 1,
-        "L": g.L,
-        "W": g.W,
+        "L": int(g.L),
+        "W": int(g.W),
         "provenance": prov,
         "edges": edges,
         "training": list(assignment.training_set),

@@ -26,6 +26,7 @@ from typing import IO
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _EXPORTS
 from .coupling import (
     MAX_CHAIN_LENGTH,
     BaseMatrix,
@@ -35,19 +36,7 @@ from .coupling import (
     check_training,
 )
 
-__all__ = [
-    "MMSE_CUTOFF",
-    "SystemScenario",
-    "DeTrajectory",
-    "sigma2_from_db",
-    "qfunc",
-    "ber_of",
-    "mmse_bpsk",
-    "de_step",
-    "run_de",
-    "write_trajectory_csv",
-    "write_summary_csv",
-]
+__all__ = list(_EXPORTS["density_evolution"])
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -26,6 +26,7 @@ from typing import IO, Iterator, NoReturn
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _EXPORTS
 from .coupling import (
     CouplingGraph,
     TrainingAssignment,
@@ -57,16 +58,7 @@ from .threshold import (
     check_plan,
 )
 
-__all__ = [
-    "EnsembleSpec",
-    "InstanceScore",
-    "SearchReport",
-    "instance_seed",
-    "sample_instance",
-    "score_instance",
-    "ensemble_search",
-    "write_search_csv",
-]
+__all__ = list(_EXPORTS["search"])
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -22,6 +22,7 @@ from typing import IO
 
 import numpy as np
 
+from . import _EXPORTS
 from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
     _NO_TRAINING,
@@ -36,18 +37,7 @@ from .density_evolution import (
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.threshold.run_de)
 )
 
-__all__ = [
-    "DEFAULT_SUCCESS_BER",
-    "BisectionPlan",
-    "BracketError",
-    "DeEvaluation",
-    "ThresholdQuery",
-    "ThresholdResult",
-    "bp_threshold",
-    "scalar_fixed_points",
-    "write_threshold_csv",
-    "write_evaluation_log_csv",
-]
+__all__ = list(_EXPORTS["threshold"])
 
 # The low-BER fixed point does not reach the single-user bound: residual
 # multiuser interference leaves its BER slightly above 1e-3 at practical

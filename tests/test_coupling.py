@@ -69,6 +69,8 @@ def test_cluster_of_out_of_range_center():
         cluster_of(32, 32, 2)
     with pytest.raises(IndexError):
         cluster_of(-1, 32, 2)
+    with pytest.raises(ValueError, match="center must be an integer"):
+        cluster_of(1.5, 64, 2)
 
 
 def test_cluster_of_matches_distance_two_oracle():
@@ -210,6 +212,11 @@ def test_assign_training_quota_validation():
     with pytest.raises(ValueError, match="training indices must be integers"):
         TrainingAssignment((1.5, 2.9), 2)
     assert TrainingAssignment((np.int64(2), np.uint8(1)), 2).training_set == (1, 2)
+    # So does the quota it is built with.
+    for members, tau in (((0, 1), 2.0), ((0,), True)):
+        with pytest.raises(ValueError, match="tau must be an integer"):
+            TrainingAssignment(members, tau)
+    assert TrainingAssignment((0, 1), np.int64(2)).tau == 2
 
 
 def _level_walk_training(g, tau, rng):
@@ -310,6 +317,13 @@ def test_base_matrix_rejects_weights_outside_unit_interval():
             BaseMatrix(L=2, bsq=np.array([[bad, 0.0], [1.0 - bad, 1.0]]))
 
 
+def test_base_matrix_rejects_non_integer_size():
+    for bad in (1.0, True, 0):
+        with pytest.raises(GraphError, match="matrix size must be a positive integer"):
+            BaseMatrix(L=bad, bsq=[[1.0]])
+    assert BaseMatrix(L=np.int64(1), bsq=[[1.0]]).L == 1
+
+
 def test_average_load_reference_points():
     assert abs(average_load(1.45, 1.98958, 14, 64) - 1.83981) <= 1e-4
     assert abs(average_load(1.45, 1.99911, 14, 64) - 1.84617) <= 1e-4
@@ -328,6 +342,11 @@ def test_average_load_rejects_nonpositive():
     for bad in (float("nan"), float("inf"), 5e-324):
         with pytest.raises(ValueError, match="alpha_tr must be positive and finite"):
             average_load(bad, 1.9, 14, 64)
+    with pytest.raises(ValueError, match="tau must be an integer"):
+        average_load(1.45, 1.98, 14.5, 64)
+    with pytest.raises(ValueError, match="chain length must be a positive integer"):
+        average_load(1.45, 1.98, 14, 64.5)
+    assert average_load(1.45, 1.98, np.int64(14), np.uint16(64)) == average_load(1.45, 1.98, 14, 64)
 
 
 def test_serialize_round_trip_with_provenance():
@@ -337,6 +356,12 @@ def test_serialize_round_trip_with_provenance():
     assert g2 == g
     assert a2 == assignment
     assert g2.provenance == Provenance(p=0.1, c=2, seed=7)
+    # numpy integers pass the integer rule, so the document must hold them too.
+    for graph, training in (
+        (make_regular(np.int64(16), 2), TrainingAssignment((0,), 1)),
+        sw_rewire(64, 2, 0.1, 2, 14, np.uint64(5)),
+    ):
+        assert parse_graph(serialize_graph(graph, training)) == (graph, training)
 
 
 def test_serialize_deterministic_bytes():
