@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +24,7 @@ from . import _EXPORTS
 
 __all__ = list(_EXPORTS["coupling"])
 
-_SEED_LIMIT = 1 << 64
+_MAX_SEED = (1 << 64) - 1
 
 # Graphs and base matrices are dense L x L tables, and one DE iteration
 # costs two L x L matvecs.  At this cap each table takes 32 MiB.
@@ -121,8 +120,7 @@ class TrainingAssignment:
         bad = [t for t in self.training_set if not _is_int(t)]
         if bad:
             raise ValueError(f"training indices must be integers, got {bad}")
-        if not _is_int(self.tau):
-            raise ValueError(f"tau must be an integer, got tau={self.tau!r}")
+        check_int("training quota tau", self.tau, 0)
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
             raise ValueError(f"training set has repeated indices: {members}")
@@ -141,8 +139,7 @@ class BaseMatrix:
     bsq: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.L) or self.L < 1:
-            raise GraphError(f"matrix size must be a positive integer, got L={self.L!r}")
+        check_int("matrix size L", self.L, 1, error=GraphError)
         bsq = np.ascontiguousarray(np.asarray(self.bsq, dtype=np.float64))
         if bsq.shape != (self.L, self.L):
             raise GraphError(f"base matrix must be {self.L}x{self.L}, got {bsq.shape}")
@@ -167,15 +164,21 @@ class BaseMatrix:
 
 def _is_int(value) -> bool:
     """Whether value is an integer: a Python or numpy integer, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(
+    name: str, value: int, lo: int, hi: float = math.inf, error: type[ValueError] = ValueError
+) -> None:
+    """Reject a value that is not an integer in [lo, hi] with ``error``, naming it ``name``."""
+    if not (_is_int(value) and lo <= value <= hi):
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def check_band(L: int, W: int) -> None:
     """Reject a regular band that is not integral, empty, self-overlapping (L < 2W+2) or too long."""
-    if not (_is_int(L) and _is_int(W)):
-        raise GraphError(f"chain length and coupling width must be integers, got L={L!r}, W={W!r}")
-    if W < 1:
-        raise GraphError(f"coupling width must be positive, got W={W}")
+    check_int("chain length L", L, 1, error=GraphError)
+    check_int("coupling width W", W, 1, error=GraphError)
     if L < 2 * W + 2:
         raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
     if L > MAX_CHAIN_LENGTH:
@@ -199,10 +202,7 @@ def _check_p_and_c(p: float, c: int) -> None:
     """Reject a rewiring probability outside [0, 1] or a non-integer or nonpositive cluster count."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
-    if not _is_int(c):
-        raise GraphError(f"cluster count must be an integer, got {c!r}")
-    if c < 1:
-        raise GraphError(f"cluster count must be positive, got {c}")
+    check_int("cluster count c", c, 1, error=GraphError)
 
 
 def check_rewiring(L: int, W: int, p: float, c: int) -> None:
@@ -218,18 +218,9 @@ def check_rewiring(L: int, W: int, p: float, c: int) -> None:
         )
 
 
-def check_quota(tau: int, L: int) -> None:
-    """Reject a training quota that is not an integer in [1, L]."""
-    if not _is_int(tau):
-        raise ValueError(f"training quota must be an integer, got tau={tau!r}")
-    if not 1 <= tau <= L:
-        raise ValueError(f"training quota must lie in [1, L={L}], got tau={tau}")
-
-
 def check_seed(seed: int) -> None:
     """Reject a seed that is not a 64-bit unsigned integer."""
-    if not _is_int(seed) or not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    check_int("seed", seed, 0, _MAX_SEED)
 
 
 def _regular_mult(L: int, W: int) -> NDArray[np.int64]:
@@ -253,6 +244,7 @@ def cluster_of(center: int, L: int, W: int) -> set[int]:
     around the center (capped at L); by symmetry the same window applies
     to factor and variable nodes alike.
     """
+    check_band(L, W)
     if not _is_int(center):
         raise ValueError(f"center must be an integer, got center={center!r}")
     if not 0 <= center < L:
@@ -346,7 +338,7 @@ def assign_training(
     when it fits, else ``rng.choice`` of its ascending node indices,
     uniformly without replacement.  Degree-0 nodes are never selected.
     """
-    check_quota(tau, g.L)
+    check_int("training quota tau", tau, 1, g.L)
     degrees = g.factor_degrees()
     cut = np.sort(degrees)[-tau]
     if cut == 0:
@@ -375,10 +367,8 @@ def average_load(alpha_tr: float, alpha: float, tau: int, L: int) -> float:
     """
     check_positive("alpha_tr", alpha_tr)
     check_positive("alpha", alpha)
-    if not _is_int(L) or L < 1:
-        raise ValueError(f"chain length must be a positive integer, got L={L!r}")
-    if not _is_int(tau) or not 0 <= tau <= L:
-        raise ValueError(f"tau must be an integer in [0, L={L}], got tau={tau!r}")
+    check_int("chain length L", L, 1)
+    check_int("training quota tau", tau, 0, L)
     frac = tau / L
     mean = 1.0 / (frac / alpha_tr + (1.0 - frac) / alpha)
     # With both loads within rounding of the largest float the sum of

@@ -32,6 +32,7 @@ from .coupling import (
     BaseMatrix,
     TrainingAssignment,
     _is_int,
+    check_int,
     check_positive,
     check_training,
 )
@@ -325,8 +326,7 @@ _MAX_ITER = 1 << 62
 
 def check_de_budget(max_iter: int, tol: float) -> None:
     """Reject a bool, non-int or out-of-range [1, 2^62] budget, or a tol not positive and finite."""
-    if not _is_int(max_iter) or not 1 <= max_iter <= _MAX_ITER:
-        raise ValueError(f"max_iter must be an integer in [1, {_MAX_ITER}], got {max_iter!r}")
+    check_int("max_iter", max_iter, 1, _MAX_ITER)
     check_positive("tol", tol)
 
 

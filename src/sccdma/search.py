@@ -30,9 +30,8 @@ from . import _EXPORTS
 from .coupling import (
     CouplingGraph,
     TrainingAssignment,
-    _is_int,
     check_band,
-    check_quota,
+    check_int,
     check_rewiring,
     check_seed,
     sw_rewire,
@@ -84,10 +83,7 @@ def _mix64(z: int) -> int:
 def instance_seed(master_seed: int, index: int) -> int:
     """Seed for sample ``index``: splitmix64 of master_seed + (index+1) * golden gamma."""
     check_seed(master_seed)
-    if not _is_int(index):
-        raise ValueError(f"index must be an integer, got {index!r}")
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
+    check_int("index", index, 0)
     return _mix64(int(master_seed) + (int(index) + 1) * _GOLDEN)
 
 
@@ -108,14 +104,9 @@ class EnsembleSpec:
         # bad spec fails before any sampling starts.
         check_band(self.L, self.W)
         check_rewiring(self.L, self.W, self.p, self.c)
-        check_quota(self.tau, self.L)
+        check_int("training quota tau", self.tau, 1, self.L)
         check_seed(self.master_seed)
-        if not _is_int(self.n_samples):
-            raise ValueError(f"sample count must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 1:
-            raise ValueError(f"need at least one sample, got {self.n_samples}")
-        if self.n_samples > _MAX_SAMPLES:
-            raise ValueError(f"at most {_MAX_SAMPLES} samples, got {self.n_samples}")
+        check_int("sample count", self.n_samples, 1, _MAX_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -152,8 +143,7 @@ def sample_instance(
     spec: EnsembleSpec, index: int
 ) -> tuple[CouplingGraph, TrainingAssignment]:
     """Instance ``index`` of the ensemble, independent of evaluation order."""
-    if not 0 <= index < spec.n_samples:
-        raise ValueError(f"index must lie in [0, {spec.n_samples}), got {index}")
+    check_int("index", index, 0, spec.n_samples - 1)
     return sw_rewire(
         spec.L, spec.W, spec.p, spec.c, spec.tau, instance_seed(spec.master_seed, index)
     )

@@ -276,9 +276,24 @@ def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63), "max_iter"),
         # No BER exceeds 1/2, so a higher level would make success mean convergence.
         (("threshold", "--uncoupled", "--snr-db", 10, "--success-ber", 0.7), "target BER"),
+        # A bad count names itself in the integer rule's message.
+        (("generate", "--L", 64, "--W", 2, "--c", 0, "--tau", 14, "--seed", 1), "cluster count c"),
+        (("generate", "--L", 64, "--W", 2, "--tau", 70, "--seed", 1), "training quota tau"),
+        (("generate", "--L", 64, "--W", 2, "--tau", 14, "--seed=-1"), "seed must be an integer"),
+        (
+            (
+                "search", "--L", 64, "--W", 2, "--p", 0.1, "--tau", 14, "--samples", 0,
+                "--seed", 1, "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9,
+            ),
+            "sample count",
+        ),
+        (("avgload", "--alpha-tr", 1.45, "--alpha", 1.9, "--tau", 14, "--L", 0), "chain length L"),
     ],
 )
 def test_bad_flag_exits_2_with_one_line_naming_it(tmp_path, argv, named):
+    outputs = {"generate": "--out", "search": "--out-report"}
+    if argv[0] in outputs:
+        argv = (*argv, outputs[argv[0]], tmp_path / "out")
     if argv[0] == "de":
         graph = tmp_path / "g.json"
         graph.write_text(serialize_graph(make_regular(8, 1), TrainingAssignment((0,), 1)))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import enum
 import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +51,9 @@ def test_make_regular_band_too_wide():
         CouplingGraph(L=3, W=1, mult=np.ones((3, 3), dtype=np.int64))
     # 64.0 would be serialized as "L": 64.0, which parse_graph rejects.
     for L, W in ((64.0, 2), (64, 2.0), (True, 1)):
-        with pytest.raises(GraphError, match="must be integers"):
+        with pytest.raises(
+            GraphError, match=r"(chain length L|coupling width W) must be an integer in \[1,"
+        ):
             make_regular(L, W)
 
 
@@ -71,6 +76,30 @@ def test_cluster_of_out_of_range_center():
         cluster_of(-1, 32, 2)
     with pytest.raises(ValueError, match="center must be an integer"):
         cluster_of(1.5, 64, 2)
+    # L and W obey the band rule, as make_regular's do.
+    with pytest.raises(GraphError, match=r"chain length L must be an integer in \[1,"):
+        cluster_of(0, 64.5, 2)
+    with pytest.raises(GraphError, match=r"coupling width W must be an integer in \[1,"):
+        cluster_of(0, 64, 2.0)
+
+
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+_SIZED_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("value", [2, _Small.TWO, *(t(2) for t in _SIZED_INTS)])
+def test_is_int_accepts_python_and_numpy_integers(value):
+    assert coupling._is_int(value)
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, 2.0, np.float64(2), Fraction(2), Decimal(2), "2"]
+)
+def test_is_int_rejects_bools_and_non_integers(value):
+    assert not coupling._is_int(value)
 
 
 def test_cluster_of_matches_distance_two_oracle():
@@ -319,7 +348,7 @@ def test_base_matrix_rejects_weights_outside_unit_interval():
 
 def test_base_matrix_rejects_non_integer_size():
     for bad in (1.0, True, 0):
-        with pytest.raises(GraphError, match="matrix size must be a positive integer"):
+        with pytest.raises(GraphError, match=r"matrix size L must be an integer in \[1,"):
             BaseMatrix(L=bad, bsq=[[1.0]])
     assert BaseMatrix(L=np.int64(1), bsq=[[1.0]]).L == 1
 
@@ -344,7 +373,7 @@ def test_average_load_rejects_nonpositive():
             average_load(bad, 1.9, 14, 64)
     with pytest.raises(ValueError, match="tau must be an integer"):
         average_load(1.45, 1.98, 14.5, 64)
-    with pytest.raises(ValueError, match="chain length must be a positive integer"):
+    with pytest.raises(ValueError, match=r"chain length L must be an integer in \[1,"):
         average_load(1.45, 1.98, 14, 64.5)
     assert average_load(1.45, 1.98, np.int64(14), np.uint16(64)) == average_load(1.45, 1.98, 14, 64)
 

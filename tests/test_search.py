@@ -190,7 +190,7 @@ def test_ensemble_spec_validation():
     with pytest.raises(GraphError, match="exceeds the maximum"):
         EnsembleSpec(L=10**12, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
     for W in (0, -1):
-        with pytest.raises(GraphError, match="coupling width must be positive"):
+        with pytest.raises(GraphError, match=r"coupling width W must be an integer in \[1,"):
             EnsembleSpec(L=64, W=W, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
     # A count or seed that is not an integer fails here, not in every instance.
     good = dict(L=64, W=2, p=0.1, c=2, tau=14, master_seed=1, n_samples=5)
