@@ -55,8 +55,8 @@ class Provenance:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_p_and_c(self.p, self.c)
-        check_seed(self.seed)
+        object.__setattr__(self, "c", _check_p_and_c(self.p, self.c))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,15 +74,13 @@ class CouplingGraph:
     provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
-        check_band(self.L, self.W)
+        L, W = check_band(self.L, self.W)
         mult = np.ascontiguousarray(np.asarray(self.mult, dtype=np.int64))
-        if mult.shape != (self.L, self.L):
-            raise GraphError(
-                f"multiplicity table must be {self.L}x{self.L}, got shape {mult.shape}"
-            )
+        if mult.shape != (L, L):
+            raise GraphError(f"multiplicity table must be {L}x{L}, got shape {mult.shape}")
         if (mult < 0).any():
             raise GraphError("edge multiplicities must be nonnegative")
-        degree = 2 * self.W + 1
+        degree = 2 * W + 1
         bad = np.flatnonzero(mult.sum(axis=0) != degree)
         if bad.size:
             raise GraphError(
@@ -90,6 +88,8 @@ class CouplingGraph:
                 f"{int(mult[:, bad[0]].sum())}, expected 2W+1 = {degree}"
             )
         mult.setflags(write=False)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "W", W)
         object.__setattr__(self, "mult", mult)
 
     def factor_degrees(self) -> NDArray[np.int64]:
@@ -120,15 +120,14 @@ class TrainingAssignment:
         bad = [t for t in self.training_set if not _is_int(t)]
         if bad:
             raise ValueError(f"training indices must be integers, got {bad}")
-        check_int("training quota tau", self.tau, 0)
+        tau = check_int("training quota tau", self.tau, 0)
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
             raise ValueError(f"training set has repeated indices: {members}")
-        if self.tau != len(members):
-            raise ValueError(
-                f"tau={self.tau} does not match training set size {len(members)}"
-            )
+        if tau != len(members):
+            raise ValueError(f"tau={tau} does not match training set size {len(members)}")
         object.__setattr__(self, "training_set", tuple(sorted(members)))
+        object.__setattr__(self, "tau", tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +138,10 @@ class BaseMatrix:
     bsq: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        check_int("matrix size L", self.L, 1, error=GraphError)
+        L = check_int("matrix size L", self.L, 1, error=GraphError)
         bsq = np.ascontiguousarray(np.asarray(self.bsq, dtype=np.float64))
-        if bsq.shape != (self.L, self.L):
-            raise GraphError(f"base matrix must be {self.L}x{self.L}, got {bsq.shape}")
+        if bsq.shape != (L, L):
+            raise GraphError(f"base matrix must be {L}x{L}, got {bsq.shape}")
         if not ((bsq >= 0.0) & (bsq <= 1.0)).all():  # NaN fails both
             raise GraphError("squared weights must lie in [0, 1]")
         colsum = bsq.sum(axis=0)
@@ -152,6 +151,7 @@ class BaseMatrix:
                 f"column {int(bad[0])} sums to {colsum[bad[0]]!r}, expected 1"
             )
         bsq.setflags(write=False)
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "bsq", bsq)
 
     def __eq__(self, other: object) -> bool:
@@ -169,20 +169,26 @@ def _is_int(value) -> bool:
 
 def check_int(
     name: str, value: int, lo: int, hi: float = math.inf, error: type[ValueError] = ValueError
-) -> None:
-    """Reject a value that is not an integer in [lo, hi] with ``error``, naming it ``name``."""
+) -> int:
+    """``value`` as a Python int; rejects a value that is not an integer in [lo, hi] with ``error``.
+
+    Callers go on with the int, so that no arithmetic runs in a numpy
+    integer type, which wraps.
+    """
     if not (_is_int(value) and lo <= value <= hi):
         raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
-def check_band(L: int, W: int) -> None:
-    """Reject a regular band that is not integral, empty, self-overlapping (L < 2W+2) or too long."""
-    check_int("chain length L", L, 1, error=GraphError)
-    check_int("coupling width W", W, 1, error=GraphError)
+def check_band(L: int, W: int) -> tuple[int, int]:
+    """L and W as ints; rejects a band not integral, empty, self-overlapping (L < 2W+2) or too long."""
+    L = check_int("chain length L", L, 1, error=GraphError)
+    W = check_int("coupling width W", W, 1, error=GraphError)
     if L < 2 * W + 2:
         raise GraphError(f"band self-overlaps: need L >= 2W+2, got L={L}, W={W}")
     if L > MAX_CHAIN_LENGTH:
         raise GraphError(f"chain length L={L} exceeds the maximum {MAX_CHAIN_LENGTH}")
+    return L, W
 
 
 def check_positive(name: str, value: float) -> None:
@@ -198,16 +204,17 @@ def check_training(members, L: int) -> None:
         raise ValueError(f"training indices {bad} out of range for chain length {L}")
 
 
-def _check_p_and_c(p: float, c: int) -> None:
-    """Reject a rewiring probability outside [0, 1] or a non-integer or nonpositive cluster count."""
+def _check_p_and_c(p: float, c: int) -> int:
+    """c as an int; rejects a rewiring probability outside [0, 1] or a c not a positive integer."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"rewiring probability must lie in [0, 1], got {p}")
-    check_int("cluster count c", c, 1, error=GraphError)
+    return check_int("cluster count c", c, 1, error=GraphError)
 
 
-def check_rewiring(L: int, W: int, p: float, c: int) -> None:
-    """Reject rewiring parameters that :func:`sw_rewire` cannot apply to a regular (L, W) band."""
-    _check_p_and_c(p, c)
+def check_rewiring(L: int, W: int, p: float, c: int) -> tuple[int, int, int]:
+    """L, W and c as ints; rejects what :func:`sw_rewire` cannot apply to a regular (L, W) band."""
+    L, W = check_band(L, W)
+    c = _check_p_and_c(p, c)
     if p > 0.0 and c < 2:
         raise GraphError("rewiring needs at least two clusters when p > 0")
     if L % c != 0:
@@ -216,11 +223,12 @@ def check_rewiring(L: int, W: int, p: float, c: int) -> None:
         raise GraphError(
             f"cluster windows overlap: need L/c > 4W, got L={L}, c={c}, W={W}"
         )
+    return L, W, c
 
 
-def check_seed(seed: int) -> None:
-    """Reject a seed that is not a 64-bit unsigned integer."""
-    check_int("seed", seed, 0, _MAX_SEED)
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; rejects a seed that is not a 64-bit unsigned integer."""
+    return check_int("seed", seed, 0, _MAX_SEED)
 
 
 def _regular_mult(L: int, W: int) -> NDArray[np.int64]:
@@ -233,7 +241,7 @@ def make_regular(L: int, W: int) -> CouplingGraph:
 
     Requires L >= 2W+2 so the circular band does not overlap itself.
     """
-    check_band(L, W)
+    L, W = check_band(L, W)
     return CouplingGraph(L=L, W=W, mult=_regular_mult(L, W))
 
 
@@ -244,12 +252,12 @@ def cluster_of(center: int, L: int, W: int) -> set[int]:
     around the center (capped at L); by symmetry the same window applies
     to factor and variable nodes alike.
     """
-    check_band(L, W)
+    L, W = check_band(L, W)
     if not _is_int(center):
         raise ValueError(f"center must be an integer, got center={center!r}")
     if not 0 <= center < L:
         raise IndexError(f"center {center} out of range [0, {L})")
-    reach = 2 * W
+    center, reach = int(center), 2 * W
     return {(center + j) % L for j in range(-reach, reach + 1)}
 
 
@@ -287,9 +295,8 @@ def _rewired_graph(
     L: int, W: int, p: float, c: int, seed: int
 ) -> tuple[CouplingGraph, np.random.Generator]:
     """The graph :func:`sw_rewire` draws from ``seed``, and the generator after its draws."""
-    check_band(L, W)
-    check_rewiring(L, W, p, c)
-    check_seed(seed)
+    L, W, c = check_rewiring(L, W, p, c)
+    seed = check_seed(seed)
 
     rng = np.random.default_rng(seed)
     band, passes = _rewire_plan(L, W, c)
@@ -338,7 +345,7 @@ def assign_training(
     when it fits, else ``rng.choice`` of its ascending node indices,
     uniformly without replacement.  Degree-0 nodes are never selected.
     """
-    check_int("training quota tau", tau, 1, g.L)
+    tau = check_int("training quota tau", tau, 1, g.L)
     degrees = g.factor_degrees()
     cut = np.sort(degrees)[-tau]
     if cut == 0:
@@ -367,8 +374,8 @@ def average_load(alpha_tr: float, alpha: float, tau: int, L: int) -> float:
     """
     check_positive("alpha_tr", alpha_tr)
     check_positive("alpha", alpha)
-    check_int("chain length L", L, 1)
-    check_int("training quota tau", tau, 0, L)
+    L = check_int("chain length L", L, 1)
+    tau = check_int("training quota tau", tau, 0, L)
     frac = tau / L
     mean = 1.0 / (frac / alpha_tr + (1.0 - frac) / alpha)
     # With both loads within rounding of the largest float the sum of
@@ -391,14 +398,14 @@ def serialize_graph(g: CouplingGraph, assignment: TrainingAssignment) -> str:
         if g.provenance is None
         else {
             "p": float(g.provenance.p),
-            "c": int(g.provenance.c),
-            "seed": int(g.provenance.seed),
+            "c": g.provenance.c,
+            "seed": g.provenance.seed,
         }
     )
     doc = {
         "version": 1,
-        "L": int(g.L),
-        "W": int(g.W),
+        "L": g.L,
+        "W": g.W,
         "provenance": prov,
         "edges": edges,
         "training": list(assignment.training_set),
@@ -459,7 +466,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     # The band rule caps L, and so bounds 2W+1, every multiplicity and
     # every column sum far inside int64.
     try:
-        check_band(L, W)
+        L, W = check_band(L, W)
     except GraphError as exc:
         raise GraphParseError(str(exc)) from exc
     degree = 2 * W + 1

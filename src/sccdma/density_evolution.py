@@ -202,6 +202,20 @@ def _piece_index(arr):
     return index
 
 
+def _mmse(arr):
+    """:func:`mmse_bpsk` of a finite, nonnegative float64 array, unchecked.
+
+    Above MMSE_CUTOFF the piece is the zero column, whose zero inverse
+    width makes t = 0, and so the value 0, for every finite input.
+    """
+    index = _piece_index(arr) if arr.size >= _BITS_INDEX_MIN else _MMSE_UPPER.searchsorted(arr)
+    return _horner(_MMSE_PIECES.take(index, axis=1), arr)
+
+
+# The largest float: mmse_bpsk clips +inf to it, which _mmse reads as 0.
+_LARGEST = sys.float_info.max
+
+
 def mmse_bpsk(x):
     """MMSE of estimating a +-1 symbol over AWGN at signal-to-noise ratio x.
 
@@ -214,10 +228,7 @@ def mmse_bpsk(x):
     passed as a scalar give identical results.
     """
     arr = _nonnegative(x, "snr")
-    index = _piece_index(arr) if arr.size >= _BITS_INDEX_MIN else _MMSE_UPPER.searchsorted(arr)
-    piece = _MMSE_PIECES.take(index, axis=1)
-    # Clipping keeps t finite (0 on the zero column) for x = inf.
-    y = _horner(piece, np.minimum(arr, MMSE_CUTOFF))
+    y = _mmse(np.minimum(arr, _LARGEST))
     return float(y) if arr.ndim == 0 else y
 
 
@@ -303,7 +314,10 @@ def de_step(
 
     The new noise levels ``sigma2_rows`` consume the input ``sir``; the
     new sir consumes the new noise levels.  ``loads`` holds the per-row
-    loads of :meth:`SystemScenario.row_loads`.
+    loads of :meth:`SystemScenario.row_loads`.  Nothing is checked: ``sir``
+    must be a finite, nonnegative float64 array, as every state the
+    recursion builds from zero is, and its MMSE is :func:`mmse_bpsk`'s
+    without the input check.
 
     ``sir``, ``loads`` and ``bsq`` may also have any leading shape, as a
     stack (..., L) of states and loads that share one (L, L) ``bsq`` or
@@ -314,7 +328,7 @@ def de_step(
     # One matvec per state, for a state and a stack alike; ``m @ bsq.T``
     # would be one matrix product with a different rounding, and a
     # contiguous copy of the transpose may round differently too.
-    sigma2_rows = sigma2 + loads * np.matvec(bsq, mmse_bpsk(sir))
+    sigma2_rows = sigma2 + loads * np.matvec(bsq, _mmse(sir))
     return np.matvec(bsq.mT, 1.0 / sigma2_rows), sigma2_rows
 
 
@@ -324,10 +338,14 @@ def de_step(
 _MAX_ITER = 1 << 62
 
 
-def check_de_budget(max_iter: int, tol: float) -> None:
-    """Reject a bool, non-int or out-of-range [1, 2^62] budget, or a tol not positive and finite."""
-    check_int("max_iter", max_iter, 1, _MAX_ITER)
+def check_de_budget(max_iter: int, tol: float) -> int:
+    """``max_iter`` as an int.
+
+    Rejects a bool, non-int or out-of-range [1, 2^62] budget, or a tol not positive and finite.
+    """
+    max_iter = check_int("max_iter", max_iter, 1, _MAX_ITER)
     check_positive("tol", tol)
+    return max_iter
 
 
 # Failure certificate, which only bisection asks for.  DE from zero is
@@ -379,7 +397,11 @@ def _certified(rows, old, new, residual, last, bsq, sigma2, loads, floor):
     ratio = residual[rows] / last[rows]
     tail = np.maximum(new[rows] - old[rows], 0.0) / (1.0 - ratio)[:, None]
     u = new[rows] + _CERTIFY_SCALES * tail + _CERTIFY_NUDGE
-    f_u, _ = de_step(u, bsq if bsq.ndim == 2 else bsq[rows], sigma2, loads[rows])
+    # A tail can overflow to +inf; de_step takes finite states only, and
+    # at the largest float its MMSE is 0, as at +inf.
+    f_u, _ = de_step(
+        np.minimum(u, _LARGEST), bsq if bsq.ndim == 2 else bsq[rows], sigma2, loads[rows]
+    )
     proof = (f_u <= u * (1.0 - _CERTIFY_MARGIN)).all(axis=-1)
     proof &= (u <= floor).any(axis=-1)
     return rows[proof.any(axis=0)]
@@ -500,7 +522,7 @@ def run_de(
     Stops once the largest sir change falls below ``tol`` (converged)
     or after ``max_iter`` iterations (not converged).
     """
-    check_de_budget(max_iter, tol)
+    max_iter = check_de_budget(max_iter, tol)
     stack = _Stack(B.L, 1, B.bsq)
     stack.join(0, scen.row_loads(B.L))
     rows = [np.zeros((1, B.L))]

@@ -30,7 +30,6 @@ from . import _EXPORTS
 from .coupling import (
     CouplingGraph,
     TrainingAssignment,
-    check_band,
     check_int,
     check_rewiring,
     check_seed,
@@ -82,9 +81,9 @@ def _mix64(z: int) -> int:
 
 def instance_seed(master_seed: int, index: int) -> int:
     """Seed for sample ``index``: splitmix64 of master_seed + (index+1) * golden gamma."""
-    check_seed(master_seed)
-    check_int("index", index, 0)
-    return _mix64(int(master_seed) + (int(index) + 1) * _GOLDEN)
+    master_seed = check_seed(master_seed)
+    index = check_int("index", index, 0)
+    return _mix64(master_seed + (index + 1) * _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,19 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         # The checks of sw_rewire and assign_training, run up front so a
-        # bad spec fails before any sampling starts.
-        check_band(self.L, self.W)
-        check_rewiring(self.L, self.W, self.p, self.c)
-        check_int("training quota tau", self.tau, 1, self.L)
-        check_seed(self.master_seed)
-        check_int("sample count", self.n_samples, 1, _MAX_SAMPLES)
+        # bad spec fails before any sampling starts.  The counts are stored
+        # as the ints they check to.
+        L, W, c = check_rewiring(self.L, self.W, self.p, self.c)
+        counts = {
+            "L": L,
+            "W": W,
+            "c": c,
+            "tau": check_int("training quota tau", self.tau, 1, L),
+            "master_seed": check_seed(self.master_seed),
+            "n_samples": check_int("sample count", self.n_samples, 1, _MAX_SAMPLES),
+        }
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def sample_instance(
     spec: EnsembleSpec, index: int
 ) -> tuple[CouplingGraph, TrainingAssignment]:
     """Instance ``index`` of the ensemble, independent of evaluation order."""
-    check_int("index", index, 0, spec.n_samples - 1)
+    index = check_int("index", index, 0, spec.n_samples - 1)
     return sw_rewire(
         spec.L, spec.W, spec.p, spec.c, spec.tau, instance_seed(spec.master_seed, index)
     )
@@ -229,7 +235,7 @@ def score_instance(
     :func:`ensemble_search`, whatever rows it shares a stack with there.
     """
     check_target_ber(target_ber)
-    check_de_budget(max_iter, sir_tol)
+    max_iter = check_de_budget(max_iter, sir_tol)
     [score] = _score_stack(
         iter([_instance_row(g, assignment, scen)]), 1, g.L,
         scen.sigma2, target_ber, max_iter, sir_tol,
@@ -373,7 +379,7 @@ def ensemble_search(
     if thresholds is not None:
         check_plan(thresholds, scen.sigma2, scen.alpha_tr, sir_tol)
     check_target_ber(target_ber)
-    check_de_budget(max_iter, sir_tol)
+    max_iter = check_de_budget(max_iter, sir_tol)
     slots = min(_block_rows(spec.L), spec.n_samples)
     shares = _share_count(spec.n_samples, slots)
 

@@ -102,11 +102,12 @@ class BisectionPlan:
         check_target_ber(self.success_ber)
 
 
-def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> None:
-    """Reject a plan that a query's system (sigma2, alpha_tr, sir_tol) cannot bisect.
+def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> int:
+    """The plan's budget as an int; rejects a plan that a query's system cannot bisect.
 
-    In order: the scenario at ``alpha_hi``, whose noise bound covers every
-    probe's load; a success level the single-user BER misses; the DE budget.
+    The system is (sigma2, alpha_tr, sir_tol).  In order: the scenario at
+    ``alpha_hi``, whose noise bound covers every probe's load; a success
+    level the single-user BER misses; the DE budget.
     """
     SystemScenario(sigma2, alpha_tr, plan.alpha_hi)
     single_user = ber_of(1.0 / sigma2)
@@ -115,7 +116,7 @@ def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: flo
             f"success level {plan.success_ber} is unreachable: the single-user "
             f"bound at this noise level is {single_user:.6g}"
         )
-    check_de_budget(plan.max_iter, sir_tol)
+    return check_de_budget(plan.max_iter, sir_tol)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -133,7 +134,8 @@ class ThresholdQuery(BisectionPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_plan(self, self.sigma2, self.alpha_tr, self.sir_tol)
+        max_iter = check_plan(self, self.sigma2, self.alpha_tr, self.sir_tol)
+        object.__setattr__(self, "max_iter", max_iter)
 
     def scenario(self, alpha: float) -> SystemScenario:
         return SystemScenario(self.sigma2, self.alpha_tr, alpha, self.training_set)

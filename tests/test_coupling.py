@@ -67,6 +67,8 @@ def test_cluster_of_examples():
     assert cluster_of(0, 32, 2) == {28, 29, 30, 31, 0, 1, 2, 3, 4}
     assert cluster_of(32, 64, 2) == set(range(28, 37))
     assert cluster_of(0, 9, 2) == set(range(9))
+    # A numpy center is taken at its value: in int8, 120 + 30 would wrap.
+    assert cluster_of(np.int8(120), 256, 15) == cluster_of(120, 256, 15)
 
 
 def test_cluster_of_out_of_range_center():
@@ -100,6 +102,31 @@ def test_is_int_accepts_python_and_numpy_integers(value):
 )
 def test_is_int_rejects_bools_and_non_integers(value):
     assert not coupling._is_int(value)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (coupling.check_band, (64, np.int64(2**62))),
+        (coupling.check_band, (64, np.uint64(2**64 - 1))),
+        (coupling.check_band, (64, np.int8(100))),
+        (coupling.check_rewiring, (256, np.int8(32), 0.1, 2)),
+    ],
+)
+def test_band_rules_run_in_python_ints(check, args):
+    # In the caller's numpy type 2W + 2 and 4W wrap, and these bands passed.
+    with pytest.raises(GraphError):
+        check(*args)
+
+
+def test_checked_counts_are_stored_as_python_ints():
+    g, training = sw_rewire(
+        np.int16(64), np.int8(2), 0.1, np.uint8(2), np.int32(14), np.uint64(5)
+    )
+    counts = (g.L, g.W, g.provenance.c, g.provenance.seed, training.tau)
+    assert [type(count) for count in counts] == [int] * 5
+    assert (g, training) == sw_rewire(64, 2, 0.1, 2, 14, 5)
+    assert type(BaseMatrix(L=np.int64(1), bsq=[[1.0]]).L) is int
 
 
 def test_cluster_of_matches_distance_two_oracle():
@@ -246,6 +273,9 @@ def test_assign_training_quota_validation():
         with pytest.raises(ValueError, match="tau must be an integer"):
             TrainingAssignment(members, tau)
     assert TrainingAssignment((0, 1), np.int64(2)).tau == 2
+    # A uint64 quota is the int it checks to: -tau does not wrap.
+    picked = [assign_training(g, tau, np.random.default_rng(3)) for tau in (np.uint64(5), 5)]
+    assert picked[0] == picked[1]
 
 
 def _level_walk_training(g, tau, rng):

@@ -156,6 +156,10 @@ def test_mmse_bpsk_endpoints():
     assert 0.0 < mmse_bpsk(MMSE_CUTOFF) < 1e-10
     for x in (np.nextafter(MMSE_CUTOFF, np.inf), 100.0, 1e300, np.inf):
         assert mmse_bpsk(x) == 0.0
+    # +inf reads 0 in arrays too, on either side of the index crossover:
+    # clipped to the cutoff before the piece index it would read mmse(50).
+    assert mmse_bpsk(np.array([np.inf, 1.0])).tolist() == [0.0, mmse_bpsk(1.0)]
+    assert (mmse_bpsk(np.full(_BITS_INDEX_MIN, np.inf)) == 0.0).all()
 
 
 def test_mmse_bpsk_against_monte_carlo():
@@ -358,6 +362,30 @@ def test_mmse_bpsk_gives_the_same_bits_on_either_side_of_the_index_crossover():
     np.testing.assert_array_equal(
         mmse_bpsk(above), np.array([mmse_bpsk(float(x)) for x in above])
     )
+
+
+def test_mmse_kernel_gives_the_bits_of_mmse_bpsk():
+    # de_step evaluates _mmse unchecked; on finite, nonnegative input it
+    # must give mmse_bpsk's bits, from either side of the index crossover.
+    breaks = _break_neighbours()
+    xs = np.concatenate([
+        breaks[np.isfinite(breaks)],
+        MMSE_CUTOFF + np.arange(-64, 65) * math.ulp(MMSE_CUTOFF),
+        np.geomspace(MMSE_CUTOFF, 1e300, 257),
+        [sys.float_info.max],
+        np.random.default_rng(36).uniform(0.0, 60.0, _BITS_INDEX_MIN),
+    ])
+    whole = density_evolution._mmse(xs)
+    assert xs.size >= _BITS_INDEX_MIN
+    step = _BITS_INDEX_MIN - 1
+    searched = [density_evolution._mmse(xs[i : i + step]) for i in range(0, xs.size, step)]
+    np.testing.assert_array_equal(np.concatenate(searched), whole)
+    np.testing.assert_array_equal(mmse_bpsk(xs), whole)
+    assert [mmse_bpsk(float(x)) for x in xs] == whole.tolist()
+    # A stack of states, as de_step passes it.
+    stack = xs[: 9 * 64].reshape(9, 64)
+    np.testing.assert_array_equal(density_evolution._mmse(stack), whole[: 9 * 64].reshape(9, 64))
+    assert (whole[xs > MMSE_CUTOFF] == 0.0).all()
 
 
 def _step(sir, B, scen):

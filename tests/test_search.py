@@ -68,6 +68,16 @@ def test_instance_seed_wraps_modulo_64_bits():
     assert instance_seed(np.uint64(2**64 - 1), np.int64(3)) == instance_seed(2**64 - 1, 3)
 
 
+def test_spec_stores_its_counts_as_python_ints():
+    spec = EnsembleSpec(
+        L=np.int16(64), W=np.int8(2), p=0.1, c=np.uint8(2), tau=np.int32(14),
+        master_seed=np.uint64(4), n_samples=np.int16(200),
+    )
+    assert spec == SPEC_64
+    counts = ("L", "W", "c", "tau", "master_seed", "n_samples")
+    assert {type(getattr(spec, name)) for name in counts} == {int}
+
+
 def test_sample_instance_deterministic_bytes():
     g1, a1 = sample_instance(SPEC_64, 17)
     g2, a2 = sample_instance(SPEC_64, 17)

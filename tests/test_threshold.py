@@ -24,8 +24,10 @@ from sccdma import (
     ber_of,
     bp_threshold,
     make_regular,
+    mmse_bpsk,
     run_de,
     scalar_fixed_points,
+    sigma2_from_db,
     sw_rewire,
     to_base_matrix,
     write_evaluation_log_csv,
@@ -262,16 +264,43 @@ def test_scalar_fixed_points_validation():
             scalar_fixed_points(alpha, sigma2)
 
 
-def test_bisection_agrees_with_uniqueness_boundary():
-    # Largest alpha with a unique scalar fixed point, located by bisection
-    # on the root count, must match the uncoupled BP threshold.
-    result = bp_threshold(_uncoupled_query())
-    lo, hi = 1.6, 1.8
-    assert len(scalar_fixed_points(lo, 0.1)) == 1
-    assert len(scalar_fixed_points(hi, 0.1)) == 3
+def _saddle_node_load(sigma2):
+    """The uncoupled BP load: the first local minimum of g(x) = (1/x - sigma2) / mmse(x).
+
+    x is a fixed point of x = 1 / (sigma2 + alpha * mmse(x)) exactly where
+    alpha = g(x).  g falls from +inf at 0 to that minimum, so below it DE
+    from zero has only the high fixed point to reach, and at it the two
+    lower fixed points are born (a saddle-node).  Three grids of 4,097
+    points, each spanning two cells of the last, locate it.
+    """
+
+    def g(x):
+        return (1.0 / x - sigma2) / mmse_bpsk(x)
+
+    lo, hi = 1e-3, 1.0 / sigma2
+    for _ in range(3):
+        xs = np.linspace(lo, hi, 4097)
+        gs = g(xs)
+        first = int(np.argmax(np.diff(gs) > 0.0))
+        lo, hi = xs[first - 1], xs[first + 1]
+    return float(gs[first])
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 12.0, 14.0])
+def test_bisection_agrees_with_uniqueness_boundary(snr_db):
+    # The uncoupled BP threshold's final bracket holds the saddle-node load,
+    # and the largest alpha with a unique scalar fixed point, located by
+    # bisection on the root count, lies within two tolerances of it.
+    sigma2 = sigma2_from_db(snr_db)
+    result = bp_threshold(_uncoupled_query(sigma2=sigma2))
+    saddle_node = _saddle_node_load(sigma2)
+    assert result.bracket[0] <= saddle_node <= result.bracket[1], (result.bracket, saddle_node)
+    lo, hi = 1.5, 2.2
+    assert len(scalar_fixed_points(lo, sigma2)) == 1
+    assert len(scalar_fixed_points(hi, sigma2)) == 3
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if len(scalar_fixed_points(mid, 0.1)) == 1:
+        if len(scalar_fixed_points(mid, sigma2)) == 1:
             lo = mid
         else:
             hi = mid
@@ -591,3 +620,35 @@ def test_certified_failure_is_a_failure_at_any_budget(system, success_ber, width
         run = run_de(B, scen, max_iter=_LONG_BUDGET, tol=tol)
         assert (run.ber.max(axis=1) > success_ber).all()
         assert np.array_equal(run.sir[steps], sir)
+
+
+def test_a_certificate_candidate_that_overflows_keeps_its_verdict():
+    # A candidate's geometric tail can overflow to +inf, where the MMSE is
+    # 0.  de_step takes finite states only, and F(u) must stay what mmse 0
+    # there gives.  Both rows' candidates are 1.5 times the fixed point of
+    # load 3 and pass; row 0's also has one infinite position.
+    bsq = to_base_matrix(make_regular(16, 2)).bsq
+    loads = np.full((2, 16), 3.0)
+    fixed = np.zeros(16)
+    for _ in range(2000):
+        fixed, _ = density_evolution.de_step(fixed, bsq, 0.1, loads[0])
+    new = np.tile(1.5 * fixed, (2, 1))
+    old = new.copy()
+    new[0, 0], old[0, 0] = 1e308, 0.0
+    residual, last = np.array([0.5, 0.5]), np.array([1.0, 1.0])
+    floor = density_evolution._sir_floor(DEFAULT_SUCCESS_BER)
+    # The overflow is the case under test.
+    with np.errstate(over="ignore"):
+        tail = (new - old) / 0.5
+        rows = density_evolution._certified(
+            np.array([0, 1]), old, new, residual, last, bsq, 0.1, loads, floor
+        )
+    assert np.isinf(tail[0, 0]) and np.isfinite(tail[1]).all()
+    assert rows.tolist() == [0, 1]
+
+
+def test_a_numpy_budget_bisects_as_its_int_does():
+    # The stack adds the budget to its clock, which in an int8 overflows.
+    query = _uncoupled_query(max_iter=np.int8(100))
+    assert type(query.max_iter) is int
+    assert bp_threshold(query).log == bp_threshold(_uncoupled_query(max_iter=100)).log
