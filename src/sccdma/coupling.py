@@ -117,9 +117,9 @@ class TrainingAssignment:
     tau: int
 
     def __post_init__(self) -> None:
-        bad = [t for t in self.training_set if not _is_int(t)]
+        bad = [t for t in self.training_set if not (_is_int(t) and t >= 0)]
         if bad:
-            raise ValueError(f"training indices must be integers, got {bad}")
+            raise ValueError(f"training indices must be integers >= 0, got {bad}")
         tau = check_int("training quota tau", self.tau, 0)
         members = tuple(int(t) for t in self.training_set)
         if len(set(members)) != len(members):
@@ -413,13 +413,6 @@ def serialize_graph(g: CouplingGraph, assignment: TrainingAssignment) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require_int(doc: dict, field: str) -> int:
-    value = doc[field]
-    if not _is_int(value):
-        raise GraphParseError(f"field {field!r} must be an integer, got {value!r}")
-    return value
-
-
 def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     """Inverse of :func:`serialize_graph`; rejects malformed documents outright."""
     try:
@@ -431,11 +424,8 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
     for field in ("version", "L", "W", "provenance", "edges", "training"):
         if field not in doc:
             raise GraphParseError(f"missing field {field!r}")
-    version = _require_int(doc, "version")
-    if version != 1:
-        raise GraphParseError(f"unsupported graph version: {version!r}")
-    L = _require_int(doc, "L")
-    W = _require_int(doc, "W")
+    check_int("field 'version'", doc["version"], 1, 1, error=GraphParseError)
+    L, W = (check_int(f"field {key!r}", doc[key], 1, error=GraphParseError) for key in ("L", "W"))
 
     prov_doc = doc["provenance"]
     provenance = None
@@ -446,10 +436,8 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
             )
         if not isinstance(prov_doc["p"], (int, float)) or isinstance(prov_doc["p"], bool):
             raise GraphParseError(f"provenance field 'p' must be a number, got {prov_doc['p']!r}")
-        c = _require_int(prov_doc, "c")
-        seed = _require_int(prov_doc, "seed")
         try:
-            provenance = Provenance(p=float(prov_doc["p"]), c=c, seed=seed)
+            provenance = Provenance(p=float(prov_doc["p"]), c=prov_doc["c"], seed=prov_doc["seed"])
         except (OverflowError, ValueError) as exc:  # float() of a huge int overflows
             raise GraphParseError(f"invalid provenance: {exc}") from exc
 
@@ -490,15 +478,13 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
         mult[l, m] = k
 
     training = doc["training"]
-    if not isinstance(training, list) or not all(_is_int(t) for t in training):
-        raise GraphParseError("field 'training' must be a list of integers")
+    if not isinstance(training, list):
+        raise GraphParseError("field 'training' must be a list")
 
     try:
+        assignment = TrainingAssignment(training_set=tuple(training), tau=len(training))
         check_training(training, L)
         graph = CouplingGraph(L=L, W=W, mult=mult, provenance=provenance)
-        assignment = TrainingAssignment(
-            training_set=tuple(training), tau=len(training)
-        )
     except ValueError as exc:
         raise GraphParseError(f"inconsistent graph document: {exc}") from exc
     return graph, assignment

@@ -338,12 +338,14 @@ def de_step(
 _MAX_ITER = 1 << 62
 
 
-def check_de_budget(max_iter: int, tol: float) -> int:
-    """``max_iter`` as an int.
+def check_budget(max_iter: int) -> int:
+    """``max_iter`` as an int; rejects a bool, non-int or out-of-range [1, 2^62] budget."""
+    return check_int("max_iter", max_iter, 1, _MAX_ITER)
 
-    Rejects a bool, non-int or out-of-range [1, 2^62] budget, or a tol not positive and finite.
-    """
-    max_iter = check_int("max_iter", max_iter, 1, _MAX_ITER)
+
+def check_de_budget(max_iter: int, tol: float) -> int:
+    """:func:`check_budget` of ``max_iter``; also rejects a tol not positive and finite."""
+    max_iter = check_budget(max_iter)
     check_positive("tol", tol)
     return max_iter
 

@@ -26,12 +26,13 @@ from . import _EXPORTS
 from .coupling import BaseMatrix, TrainingAssignment, average_load, check_positive
 from .density_evolution import (
     _NO_TRAINING,
+    MMSE_CUTOFF,
     SystemScenario,
     _sir_floor,
     _Stack,
     _write_table,
     ber_of,
-    check_de_budget,
+    check_budget,
     check_target_ber,
     mmse_bpsk,
     run_de,  # noqa: F401  (not called here; perfbench's tracer rebinds sccdma.threshold.run_de)
@@ -51,8 +52,10 @@ DEFAULT_SUCCESS_BER = 2e-3
 # it: depth 2 stacks at most 7 midpoints, and 9 DE states with the bracket ends.
 _SPECULATION_DEPTH = 2
 
-# Cells of the uniform grid on which scalar_fixed_points looks for sign changes.
+# Cells of the uniform grid on which scalar_fixed_points looks for g's folds.
 _FIXED_POINT_GRID = 4096
+# Golden-section search keeps this share of its interval per step.
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BracketError(ValueError):
@@ -81,7 +84,7 @@ class BisectionPlan:
 
     Its ends are positive, finite and in order (else :class:`BracketError`),
     and a width below two float spacings at ``alpha_hi``, where a midpoint
-    can equal an end, is refused.
+    can equal an end, is refused.  The budget is kept as an int in [1, 2^62].
     """
 
     alpha_lo: float
@@ -100,14 +103,15 @@ class BisectionPlan:
         if self.alpha_tol < 2.0 * math.ulp(self.alpha_hi):
             raise ValueError(f"alpha_tol={self.alpha_tol} is below the float spacing at alpha_hi")
         check_target_ber(self.success_ber)
+        object.__setattr__(self, "max_iter", check_budget(self.max_iter))
 
 
-def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> int:
-    """The plan's budget as an int; rejects a plan that a query's system cannot bisect.
+def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: float) -> None:
+    """Reject a plan that a query's system cannot bisect.
 
     The system is (sigma2, alpha_tr, sir_tol).  In order: the scenario at
     ``alpha_hi``, whose noise bound covers every probe's load; a success
-    level the single-user BER misses; the DE budget.
+    level the single-user BER misses; the DE tolerance.
     """
     SystemScenario(sigma2, alpha_tr, plan.alpha_hi)
     single_user = ber_of(1.0 / sigma2)
@@ -116,7 +120,7 @@ def check_plan(plan: BisectionPlan, sigma2: float, alpha_tr: float, sir_tol: flo
             f"success level {plan.success_ber} is unreachable: the single-user "
             f"bound at this noise level is {single_user:.6g}"
         )
-    return check_de_budget(plan.max_iter, sir_tol)
+    check_positive("tol", sir_tol)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -134,8 +138,7 @@ class ThresholdQuery(BisectionPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        max_iter = check_plan(self, self.sigma2, self.alpha_tr, self.sir_tol)
-        object.__setattr__(self, "max_iter", max_iter)
+        check_plan(self, self.sigma2, self.alpha_tr, self.sir_tol)
 
     def scenario(self, alpha: float) -> SystemScenario:
         return SystemScenario(self.sigma2, self.alpha_tr, alpha, self.training_set)
@@ -265,13 +268,52 @@ def bp_threshold(query: ThresholdQuery) -> ThresholdResult:
     )
 
 
+def _branch_ends(sigma2: float) -> list[float]:
+    """Ends of the pieces of [0, 1/sigma2] on each of which g = u / v is monotone, ascending.
+
+    With u(x) = 1 - sigma2 * x and v(x) = x * mmse(x), g(x) = (1/x - sigma2) / mmse(x).
+    g's critical points are found where its rise and fall swap on a uniform grid over
+    (0, min(1/sigma2, MMSE_CUTOFF)], where v > 0, comparing u(y) v(x) with u(x) v(y)
+    rather than dividing, which can overflow; each is then refined by golden-section
+    search over the two cells around it.  Past MMSE_CUTOFF mmse reads 0, and f = -u
+    has no root below 1/sigma2, so the cutoff ends a piece.
+    """
+    top = min(1.0 / sigma2, MMSE_CUTOFF)
+    xs = np.linspace(0.0, top, _FIXED_POINT_GRID + 1)[1:]
+    u, v = 1.0 - sigma2 * xs, xs * mmse_bpsk(xs)
+    rising = u[1:] * v[:-1] > u[:-1] * v[1:]
+
+    def below(x: float, y: float) -> bool:
+        """g(x) < g(y)."""
+        return (1.0 - sigma2 * x) * (y * mmse_bpsk(y)) < (1.0 - sigma2 * y) * (x * mmse_bpsk(x))
+
+    folds = []
+    for i in np.flatnonzero(rising[1:] != rising[:-1]).tolist():
+        a, b, maximum = float(xs[i]), float(xs[i + 2]), bool(rising[i])
+        while b - a > 1e-10:
+            c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+            if below(d, c) == maximum:
+                b = d
+            else:
+                a = c
+        folds.append(0.5 * (a + b))
+    return sorted({0.0, *folds, top, 1.0 / sigma2})
+
+
 def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
     """All fixed points of the uncoupled recursion x = 1 / (sigma2 + alpha * mmse(x)).
 
-    Scans f(x) = x * (sigma2 + alpha * mmse(x)) - 1 for sign changes on
-    a uniform grid over (0, 1/sigma2] and refines each bracketed root by
-    bisection to 1e-10.  Returns the roots in ascending order; there is
-    always at least one because f(0) = -1 and f(1/sigma2) > 0.
+    They are the roots of f(x) = x * (sigma2 + alpha * mmse(x)) - 1, the
+    x at which alpha = g(x) = (1/x - sigma2) / mmse(x).  g falls from
+    +inf at 0; where it is not monotone it has a local minimum and then a
+    local maximum (its folds).  f has at most one root on each piece of
+    :func:`_branch_ends`, and each piece across which f changes sign is
+    bisected to 1e-10.  Returns the roots in ascending order; there is at
+    least one when 1/sigma2 <= MMSE_CUTOFF, since f(0) = -1 and
+    f(1/sigma2) > 0.  The count is exact unless alpha lies within rounding
+    of a fold value (a tangent double root), or g's two critical points
+    lie within one grid cell of each other, near the noise level at which
+    the folds merge and the range of alpha with three roots vanishes.
     """
     check_positive("alpha", alpha)
     check_positive("sigma2", sigma2)
@@ -279,12 +321,10 @@ def scalar_fixed_points(alpha: float, sigma2: float) -> list[float]:
     def f(x):
         return x * (sigma2 + alpha * mmse_bpsk(x)) - 1.0
 
-    xs = np.linspace(0.0, 1.0 / sigma2, _FIXED_POINT_GRID + 1)
-    fs = f(xs)
+    ends = _branch_ends(sigma2)
     roots: list[float] = []
-    for i in range(_FIXED_POINT_GRID):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = float(fs[i]), float(fs[i + 1])
+    for a, b in zip(ends, ends[1:]):
+        fa, fb = float(f(a)), float(f(b))
         if fb == 0.0:
             roots.append(b)
             continue

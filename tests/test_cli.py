@@ -276,6 +276,16 @@ def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--max-iter", 2**63), "max_iter"),
         # No BER exceeds 1/2, so a higher level would make success mean convergence.
         (("threshold", "--uncoupled", "--snr-db", 10, "--success-ber", 0.7), "target BER"),
+        # The plan's budget comes before the system's loads, in both commands.
+        (("threshold", "--uncoupled", "--snr-db", 10, "--max-iter", 0, "--alpha-tr=-1"), "max_iter"),
+        (
+            (
+                "search", "--L", 64, "--W", 2, "--p", 0.1, "--tau", 14, "--samples", 1,
+                "--seed", 1, "--snr-db", 10, "--alpha-tr=-1", "--alpha", 1.9,
+                "--with-thresholds", "--threshold-max-iter", 0,
+            ),
+            "max_iter",
+        ),
         # A bad count names itself in the integer rule's message.
         (("generate", "--L", 64, "--W", 2, "--c", 0, "--tau", 14, "--seed", 1), "cluster count c"),
         (("generate", "--L", 64, "--W", 2, "--tau", 70, "--seed", 1), "training quota tau"),

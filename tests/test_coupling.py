@@ -267,6 +267,11 @@ def test_assign_training_quota_validation():
     # An explicit set obeys the same rule: an index is not truncated to one.
     with pytest.raises(ValueError, match="training indices must be integers"):
         TrainingAssignment((1.5, 2.9), 2)
+    # No chain has a negative position; the message names every offender.
+    with pytest.raises(ValueError, match=r"got \[-1\]"):
+        TrainingAssignment((-1,), 1)
+    with pytest.raises(ValueError, match=r"got \[-3, 1.5\]"):
+        TrainingAssignment((0, -3, 1.5), 3)
     assert TrainingAssignment((np.int64(2), np.uint8(1)), 2).training_set == (1, 2)
     # So does the quota it is built with.
     for members, tau in (((0, 1), 2.0), ((0,), True)):
@@ -461,10 +466,12 @@ def test_parse_rejects_bad_version_and_training():
         doc["version"] = version
         with pytest.raises(GraphParseError, match="version"):
             parse_graph(json.dumps(doc))
-    doc = json.loads(text)
-    doc["training"] = [8]
-    with pytest.raises(GraphParseError):
-        parse_graph(json.dumps(doc))
+    # Out of range, not integers (True equals 1), negative.
+    for training in ([8], [1.5], [True], [-1]):
+        doc = json.loads(text)
+        doc["training"] = training
+        with pytest.raises(GraphParseError, match="training indices"):
+            parse_graph(json.dumps(doc))
 
 
 def test_parse_rejects_huge_L_before_allocating():
@@ -493,7 +500,11 @@ def test_parse_rejects_out_of_range_multiplicity_width_and_provenance():
     doc["W"] = 32
     with pytest.raises(GraphParseError, match="2W\\+2"):
         parse_graph(json.dumps(doc))
-    for field, value in (("p", 2.0), ("p", float("nan")), ("p", 10**400), ("c", 0), ("seed", -1)):
+    for field, value in (
+        ("p", 2.0), ("p", float("nan")), ("p", 10**400), ("c", 0), ("seed", -1),
+        # Counts and seeds are integers, not floats or bools equal to one.
+        ("c", 2.0), ("c", True), ("seed", 1.5),
+    ):
         doc = json.loads(text)
         doc["provenance"][field] = value
         with pytest.raises(GraphParseError, match="provenance"):

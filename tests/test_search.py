@@ -222,7 +222,6 @@ def test_ensemble_spec_validation():
         dict(sir_tol=-1.0),
         # Q(sqrt(10)) ~ 7.83e-4: no finalist's run could get under 5e-4 at 10 dB.
         dict(thresholds=BisectionPlan(1.0, 2.5, success_ber=5e-4)),
-        dict(thresholds=BisectionPlan(1.0, 2.5, max_iter=2.5)),
         # Past the noise bound at alpha_hi; the wide tolerance keeps the plan's own checks quiet.
         dict(thresholds=BisectionPlan(1.0, 1e306, alpha_tol=1e300)),
     ],

@@ -91,12 +91,14 @@ def test_query_rejects_nonpositive_parameters():
         dict(sigma2=float("nan")),
         dict(sigma2=1e-320),
         dict(alpha_tr=float("inf")),
-        dict(max_iter=0),
-        dict(max_iter=2.5),
-        dict(max_iter=True),
     ):
         with pytest.raises(ValueError):
             _uncoupled_query(**bad)
+    # The plan checks its own budget, so a plan and a query refuse it alike.
+    for budget in (0, 2.5, True, 2**62 + 1):
+        _rejected_as_plan_and_query(dict(max_iter=budget), match="max_iter must be an integer")
+    budget = BisectionPlan(1.0, 2.5, max_iter=np.int16(500)).max_iter
+    assert type(budget) is int and budget == 500
     for bad in (
         dict(alpha_lo=0.0),
         dict(alpha_lo=-1.0, alpha_hi=-0.5),
@@ -241,21 +243,47 @@ def test_coupled_threshold_not_below_uncoupled():
 def test_scalar_fixed_points_single_root():
     roots = scalar_fixed_points(1.0, 0.1)
     assert len(roots) == 1
-    assert roots[0] == pytest.approx(ROOTS_A10[0], abs=1e-6)
+    assert roots[0] == pytest.approx(ROOTS_A10[0], abs=1e-10)
 
 
 def test_scalar_fixed_points_bistable_region():
     roots = scalar_fixed_points(1.9, 0.1)
     assert len(roots) == 3
     for got, expected in zip(roots, ROOTS_A19):
-        assert got == pytest.approx(expected, abs=1e-6)
+        assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_scalar_fixed_points_high_noise_proxy():
     roots = scalar_fixed_points(1.0, 100.0)
     assert len(roots) == 1
-    assert roots[0] == pytest.approx(ROOTS_NOISY[0], abs=1e-8)
+    assert roots[0] == pytest.approx(ROOTS_NOISY[0], abs=1e-10)
     assert roots[0] == pytest.approx(1.0 / 101.0, abs=2e-5)
+
+
+def _g_extreme(sigma2, lo, hi, sign):
+    """g's minimum (sign -1) or maximum (sign 1) on [lo, hi], g(x) = (1/x - sigma2) / mmse(x).
+
+    Three grids of 4,097 points, each spanning two cells of the last, locate it.
+    """
+    for _ in range(3):
+        xs = np.linspace(lo, hi, 4097)
+        gs = sign * (1.0 / xs - sigma2) / mmse_bpsk(xs)
+        i = int(np.argmax(gs))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, 4096)]
+    return sign * float(gs[i])
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_scalar_fixed_points_counts_both_roots_just_inside_a_fold(offset):
+    # At 10 dB g has a local minimum near x = 1.938 and a local maximum near
+    # x = 7.623.  Just inside either fold two of the three roots share one
+    # cell of a 4,096-cell grid over (0, 10], so a scan of f's signs on it
+    # sees one root where there are three.
+    minimum, maximum = _g_extreme(0.1, 1.0, 4.0, -1.0), _g_extreme(0.1, 4.0, 9.0, 1.0)
+    assert minimum == pytest.approx(1.7307897796, abs=1e-10)
+    assert maximum == pytest.approx(3.5304012652, abs=1e-10)
+    for alpha in (minimum + offset, maximum - offset):
+        assert len(scalar_fixed_points(alpha, 0.1)) == 3, alpha
 
 
 def test_scalar_fixed_points_validation():
