@@ -44,7 +44,6 @@ from .density_evolution import (  # noqa: E402
     write_summary_csv,
     write_trajectory_csv,
 )
-from .search import EnsembleSpec, ensemble_search, write_search_csv  # noqa: E402
 from .threshold import (  # noqa: E402
     DEFAULT_SUCCESS_BER,
     BisectionPlan,
@@ -68,8 +67,9 @@ def _parse_training_flag(text: str) -> tuple[int, ...]:
 
 
 def _training_override(members: tuple[int, ...], L: int) -> TrainingAssignment:
-    check_training(members, L)
-    return TrainingAssignment(training_set=members, tau=len(members))
+    assignment = TrainingAssignment(training_set=members, tau=len(members))
+    check_training(assignment.training_set, L)
+    return assignment
 
 
 def _load_graph(args):
@@ -150,6 +150,9 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # Imported here, so that no other subcommand compiles or loads search.
+    from .search import EnsembleSpec, ensemble_search, write_search_csv
+
     spec = EnsembleSpec(
         L=args.L,
         W=args.W,

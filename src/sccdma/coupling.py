@@ -198,8 +198,8 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_training(members, L: int) -> None:
-    """Reject training indices outside [0, L)."""
-    bad = [t for t in members if not 0 <= t < L]
+    """Reject training indices at or above L; :class:`TrainingAssignment` refuses negative ones."""
+    bad = [t for t in members if t >= L]
     if bad:
         raise ValueError(f"training indices {bad} out of range for chain length {L}")
 
@@ -483,7 +483,7 @@ def parse_graph(text: str) -> tuple[CouplingGraph, TrainingAssignment]:
 
     try:
         assignment = TrainingAssignment(training_set=tuple(training), tau=len(training))
-        check_training(training, L)
+        check_training(assignment.training_set, L)
         graph = CouplingGraph(L=L, W=W, mult=mult, provenance=provenance)
     except ValueError as exc:
         raise GraphParseError(f"inconsistent graph document: {exc}") from exc

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -169,18 +170,35 @@ _MMSE_UPPER = np.append(_MMSE_PIECES[0, 1:-1], MMSE_CUTOFF)
 _MMSE_UPPER.setflags(write=False)
 
 
-# From _BITS_INDEX_MIN elements on, mmse_bpsk finds each piece from the
-# float's bits rather than by a binary search of _MMSE_UPPER.  On DE states
-# the search takes 1.7 / 11.4 / 27.7 us at 64 / 512 / 2,048 elements and
-# the bits 6.6 / 10.0 / 9.0 us, most of that per call.  A nonnegative float64's
-# bits, shifted right by 45, give its exponent and its top 7 mantissa bits:
-# a key that splits each binade into 128 buckets.  _PIECE_START[key - base]
-# counts the breaks below the bucket's least float; breaks lie a factor
-# 2**(1/8) apart, so no bucket holds two, and one compare against the next
-# break completes the count that searchsorted gives.  Keys below the first
-# break's bucket (zero, subnormals, -0.0, whose key is negative) and above
-# the cutoff's clip to the table's ends, where the count is 0 and 103.
+# _mmse picks how it finds each piece and evaluates it by the array's size
+# (costs per call on a 2-vCPU Xeon, Python 3.11, numpy 2.4):
+# - up to _SCALAR_MAX elements, element by element in Python floats:
+#   bisect_left on _UPPER_LIST, then _horner on the piece's column of
+#   _PIECE_COLUMNS; 1.6 us at one element, 7.5 us at 8, about 0.8 us more
+#   per element.  Numpy would take 17 us at one and 9-11 us at 3-64, so
+#   the two break even near 10 elements, and _SCALAR_MAX stays below that;
+# - from there to _BITS_INDEX_MIN, numpy: a binary search of _MMSE_UPPER,
+#   a take of the (11, n) columns and Horner's rule as ufuncs; on DE states
+#   the search takes 1.7 / 11.4 / 27.7 us at 64 / 512 / 2,048 elements;
+# - from _BITS_INDEX_MIN on, the piece comes from the float's bits
+#   (_piece_index) instead, at 6.6 / 10.0 / 9.0 us, most of that per call.
+# bisect_left is searchsorted's side "left", and _piece_index gives the
+# same count, so all three pick the same piece.  Python floats and numpy's
+# float64 ufuncs make the same IEEE-754 operations in the same order, with
+# no fused multiply-add, so all three give the same bits.
+_SCALAR_MAX = 8
 _BITS_INDEX_MIN = 512
+_UPPER_LIST = _MMSE_UPPER.tolist()
+_PIECE_COLUMNS = tuple(map(tuple, _MMSE_PIECES.T.tolist()))
+
+# A nonnegative float64's bits, shifted right by 45, give its exponent and
+# its top 7 mantissa bits: a key that splits each binade into 128 buckets.
+# _PIECE_START[key - base] counts the breaks below the bucket's least float;
+# breaks lie a factor 2**(1/8) apart, so no bucket holds two, and one
+# compare against the next break completes the count that searchsorted
+# gives.  Keys below the first break's bucket (zero, subnormals, -0.0, whose
+# key is negative) and above the cutoff's clip to the table's ends, where
+# the count is 0 and 103.
 _PIECE_SHIFT = 45
 _PIECE_BASE, _PIECE_TOP = (_MMSE_UPPER[[0, -1]].view(np.int64) >> _PIECE_SHIFT).tolist()
 # Through the bucket after the cutoff's, the first whose floats all exceed it.
@@ -208,6 +226,10 @@ def _mmse(arr):
     Above MMSE_CUTOFF the piece is the zero column, whose zero inverse
     width makes t = 0, and so the value 0, for every finite input.
     """
+    if arr.size <= _SCALAR_MAX:
+        flat = arr.ravel().tolist()
+        values = [_horner(_PIECE_COLUMNS[bisect_left(_UPPER_LIST, x)], x) for x in flat]
+        return np.array(values, dtype=np.float64).reshape(arr.shape)
     index = _piece_index(arr) if arr.size >= _BITS_INDEX_MIN else _MMSE_UPPER.searchsorted(arr)
     return _horner(_MMSE_PIECES.take(index, axis=1), arr)
 

@@ -268,6 +268,8 @@ def test_threshold_bracket_that_cannot_shrink_exits_2(flag, value):
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", "nan"), "alpha must"),
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--tol", "inf"), "tol must"),
         (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--training-set", 8), "chain length 8"),
+        # The record's own rule, as a graph file's training list gets it.
+        (("de", "--snr-db", 10, "--alpha-tr", 1.45, "--alpha", 1.9, "--training-set=-1"), "integers >= 0"),
         (("avgload", "--alpha-tr", "nan", "--alpha", 1.9, "--tau", 14, "--L", 64), "alpha_tr"),
         # Budgets past 2^62: 2^63 - 1 and 2^63 used to overflow int64 step counts.
         (("threshold", "--uncoupled", "--snr-db", 10, "--max-iter", 2**62 + 1), "max_iter"),
@@ -493,6 +495,11 @@ def test_a_public_name_loads_only_its_own_module():
     assert _fresh_interpreter(code.format("bp_threshold")) == loaded
     assert _fresh_interpreter(code.format("ThresholdQuery")) == loaded
     assert _fresh_interpreter(code.format("make_regular")) == "['sccdma.coupling']"
+    # Only ``sccdma search`` loads search: not the CLI's import, nor a threshold run.
+    cli = "import os, sys, sccdma.cli; {}print('sccdma.search' in sys.modules)"
+    assert _fresh_interpreter(cli.format("")) == "False"
+    run = "sccdma.cli.main(['threshold', '--uncoupled', '--snr-db', '10', '--out-report', os.devnull]); "
+    assert _fresh_interpreter(cli.format(run)) == "False"
 
 
 def test_cli_import_loads_no_mmse_fit():

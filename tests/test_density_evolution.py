@@ -42,6 +42,7 @@ from sccdma.density_evolution import (
     _MMSE_UPPER,
     _PIECE_START,
     _Q_BLOCK,
+    _SCALAR_MAX,
     _Stack,
     _horner,
     _sir_floor,
@@ -364,9 +365,31 @@ def test_mmse_bpsk_gives_the_same_bits_on_either_side_of_the_index_crossover():
     )
 
 
+def test_mmse_bpsk_gives_the_same_bits_on_either_side_of_the_python_float_crossover():
+    # Up to _SCALAR_MAX elements each one is evaluated in Python floats,
+    # above it by numpy: the same values must give the same bits and shapes.
+    xs = np.array([0.0, -0.0, 5e-324, _MMSE_UPPER[0], _MMSE_UPPER[40], 0.3, MMSE_CUTOFF, 64.0])
+    below, above = xs[:_SCALAR_MAX], np.append(xs, 12.5)
+    assert below.size == _SCALAR_MAX < above.size
+    np.testing.assert_array_equal(mmse_bpsk(above)[:-1], mmse_bpsk(below))
+    np.testing.assert_array_equal(mmse_bpsk(below.reshape(2, -1)), mmse_bpsk(below).reshape(2, -1))
+    assert [mmse_bpsk(float(x)) for x in above] == mmse_bpsk(above).tolist()
+    # A column of length-1 states, as the uncoupled system's lockstep stacks.
+    column = density_evolution._mmse(below[:, None])
+    assert column.shape == (_SCALAR_MAX, 1) and column.dtype == np.float64
+    # Empty and 0-d inputs keep their shapes and the float64 dtype.
+    for empty in (np.empty(0), np.empty((0, 3))):
+        out = mmse_bpsk(empty)
+        assert out.shape == empty.shape and out.dtype == np.float64
+    assert type(mmse_bpsk(np.float64(0.3))) is float
+    assert density_evolution._mmse(np.array(0.3)).shape == ()
+
+
 def test_mmse_kernel_gives_the_bits_of_mmse_bpsk():
     # de_step evaluates _mmse unchecked; on finite, nonnegative input it
-    # must give mmse_bpsk's bits, from either side of the index crossover.
+    # must give mmse_bpsk's bits, on every path: Python floats up to
+    # _SCALAR_MAX elements, a binary search below _BITS_INDEX_MIN, the bits
+    # from there on.  _break_neighbours() leads with 0.0, -0.0 and 5e-324.
     breaks = _break_neighbours()
     xs = np.concatenate([
         breaks[np.isfinite(breaks)],
@@ -377,9 +400,9 @@ def test_mmse_kernel_gives_the_bits_of_mmse_bpsk():
     ])
     whole = density_evolution._mmse(xs)
     assert xs.size >= _BITS_INDEX_MIN
-    step = _BITS_INDEX_MIN - 1
-    searched = [density_evolution._mmse(xs[i : i + step]) for i in range(0, xs.size, step)]
-    np.testing.assert_array_equal(np.concatenate(searched), whole)
+    for step in (1, _SCALAR_MAX, _SCALAR_MAX + 1, _BITS_INDEX_MIN - 1):
+        chunks = [density_evolution._mmse(xs[i : i + step]) for i in range(0, xs.size, step)]
+        np.testing.assert_array_equal(np.concatenate(chunks), whole, err_msg=f"chunks of {step}")
     np.testing.assert_array_equal(mmse_bpsk(xs), whole)
     assert [mmse_bpsk(float(x)) for x in xs] == whole.tolist()
     # A stack of states, as de_step passes it.
